@@ -1,9 +1,11 @@
 // Ablation: one-level vs two-level query distribution (DESIGN.md
 // decision 2). §2.6 motivates the Controller → Distributor → Querier tree
-// by per-node connection limits; the cost is an extra queue hop per query.
-// This ablation replays the same trace in fast mode through 1-level
-// (1 distributor) and 2-level (several distributors) configurations and
-// reports achieved dispatch throughput.
+// by per-node connection limits. Here a distributor is a thread-less group
+// of queriers: the controller pushes every record straight onto its
+// querier's queue, so a second level adds a sticky-map lookup per query,
+// not a queue hop. This ablation replays the same trace in fast mode
+// through 1-level (1 distributor) and 2-level (several distributors)
+// configurations and reports achieved dispatch throughput.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.hpp"

@@ -32,12 +32,16 @@ Result<Fd> make_socket(int type) {
 }
 
 // Shared address-reuse setup for both bind paths (UDP sockets and TCP
-// listeners), so the two cannot drift: SO_REUSEADDR always (fast rebinds
-// after a restart), SO_REUSEPORT on request (N sockets sharing one port,
-// kernel-load-balanced — the shard fan-out).
-Result<void> set_reuse(int fd, bool reuse_port) {
+// listeners), so the two cannot drift: SO_REUSEADDR on a fixed port (fast
+// rebinds after a restart), SO_REUSEPORT on request (N sockets sharing one
+// port, kernel-load-balanced — the shard fan-out). An ephemeral (port 0)
+// bind never sets SO_REUSEADDR: Linux may hand two UDP sockets that both
+// set it the same ephemeral port, and the later one then receives the
+// other's replies — a replay source silently lost every answer that way.
+Result<void> set_reuse(int fd, uint16_t port, bool reuse_port) {
   int one = 1;
-  if (::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) != 0)
+  if (port != 0 &&
+      ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) != 0)
     return sys_error("setsockopt(SO_REUSEADDR)");
   if (reuse_port &&
       ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0)
@@ -111,7 +115,7 @@ Endpoint SockAddr::to_endpoint() const {
 
 Result<UdpSocket> UdpSocket::bind(const Endpoint& local, bool reuse_port) {
   Fd fd = LDP_TRY(make_socket(SOCK_DGRAM));
-  LDP_TRY_VOID(set_reuse(fd.get(), reuse_port));
+  LDP_TRY_VOID(set_reuse(fd.get(), local.port, reuse_port));
   sockaddr_in sa = LDP_TRY(to_sockaddr(local));
   if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0)
     return sys_error("bind");
@@ -405,7 +409,7 @@ Result<Fd> tcp_connect_blocking(const Endpoint& remote, TimeNs timeout) {
 Result<TcpListener> TcpListener::listen(const Endpoint& local, int backlog,
                                         bool reuse_port) {
   Fd fd = LDP_TRY(make_socket(SOCK_STREAM));
-  LDP_TRY_VOID(set_reuse(fd.get(), reuse_port));
+  LDP_TRY_VOID(set_reuse(fd.get(), local.port, reuse_port));
   sockaddr_in sa = LDP_TRY(to_sockaddr(local));
   if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0)
     return sys_error("bind");

@@ -17,7 +17,6 @@ constexpr std::string_view kMagic = "ldp-checkpoint v1";
 
 // FNV-1a, the same construction stream_seed uses; good enough to tell two
 // traces apart, cheap enough to run on every resume.
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
 
 void fnv_mix(uint64_t& h, uint64_t v) {
@@ -35,19 +34,21 @@ std::string hexdouble(double v) {
 
 }  // namespace
 
+void TraceFingerprint::add(const trace::TraceRecord& rec) {
+  fnv_mix(h_, static_cast<uint64_t>(rec.timestamp));
+  fnv_mix(h_, rec.src.addr.hash());
+  fnv_mix(h_, static_cast<uint64_t>(rec.transport));
+  fnv_mix(h_, rec.dns_payload.size());
+  if (rec.dns_payload.size() >= 2)
+    fnv_mix(h_, static_cast<uint64_t>(rec.dns_payload[0]) << 8 |
+                    rec.dns_payload[1]);
+}
+
 uint64_t trace_fingerprint(const std::vector<trace::TraceRecord>& trace) {
-  uint64_t h = kFnvOffset;
-  for (const auto& rec : trace) {
-    if (rec.direction != trace::Direction::Query) continue;
-    fnv_mix(h, static_cast<uint64_t>(rec.timestamp));
-    fnv_mix(h, rec.src.addr.hash());
-    fnv_mix(h, static_cast<uint64_t>(rec.transport));
-    fnv_mix(h, rec.dns_payload.size());
-    if (rec.dns_payload.size() >= 2)
-      fnv_mix(h, static_cast<uint64_t>(rec.dns_payload[0]) << 8 |
-                     rec.dns_payload[1]);
-  }
-  return h;
+  TraceFingerprint fp;
+  for (const auto& rec : trace)
+    if (rec.direction == trace::Direction::Query) fp.add(rec);
+  return fp.value();
 }
 
 std::string serialize_checkpoint(const CheckpointState& state) {

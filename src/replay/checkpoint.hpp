@@ -60,6 +60,17 @@ struct CheckpointState {
 /// resume refuses to continue a checkpoint against a different trace.
 uint64_t trace_fingerprint(const std::vector<trace::TraceRecord>& trace);
 
+/// trace_fingerprint built one query record at a time, so a sharded replay
+/// can fingerprint each shard's slice without copying it out.
+class TraceFingerprint {
+ public:
+  void add(const trace::TraceRecord& rec);
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 1469598103934665603ULL;  // FNV-1a offset basis
+};
+
 /// The checkpoint wire form: the same line-oriented text the file holds.
 /// Split out from the file I/O so the distributed control channel can carry
 /// snapshots in CHECKPOINT/ASSIGN frames without touching disk.
@@ -74,7 +85,7 @@ Result<void> save_checkpoint(const std::string& path,
 Result<CheckpointState> load_checkpoint(const std::string& path);
 
 /// Per-shard snapshot naming for sharded runs: `<path>.shard<N>`. Each shard
-/// engine checkpoints its own slice; resume loads all of them back.
+/// checkpoints its own slice; resume loads all of them back.
 std::string shard_checkpoint_path(const std::string& path, size_t shard);
 
 /// Load `<path>.shard0` … `<path>.shard<N-1>` for a `--shards N` resume.

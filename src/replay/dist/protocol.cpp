@@ -5,9 +5,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
-#include <unordered_map>
 
 #include "net/socket.hpp"
+#include "replay/partition.hpp"
 
 namespace ldp::replay::dist {
 
@@ -392,13 +392,10 @@ Result<EngineReport> parse_report(const std::string& payload) {
 std::vector<std::vector<trace::TraceRecord>> partition_by_source(
     const std::vector<trace::TraceRecord>& trace, size_t n) {
   std::vector<std::vector<trace::TraceRecord>> slices(n);
-  std::unordered_map<IpAddr, size_t, IpAddrHash> source_to_slice;
+  SourcePartition partition(n);
   for (const auto& rec : trace) {
     if (rec.direction != trace::Direction::Query) continue;
-    auto [it, fresh] =
-        source_to_slice.emplace(rec.src.addr, source_to_slice.size() % n);
-    slices[it->second].push_back(rec);
-    (void)fresh;
+    slices[partition.place(rec.src.addr)].push_back(rec);
   }
   return slices;
 }

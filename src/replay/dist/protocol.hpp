@@ -146,9 +146,10 @@ Result<ProgressMsg> parse_progress(const std::string& payload);
 std::string encode_report(const EngineReport& r);
 Result<EngineReport> parse_report(const std::string& payload);
 
-/// The shared slice partition: query records only, sticky by source in
-/// first-appearance order (the replay_sharded policy). Worker `i` of `n`
-/// replays partition_by_source(trace, n)[i]; the controller uses the same
+/// The worker slice partition: query records only, split by the shared
+/// SourcePartition rule, so slice `i` holds exactly the sources an
+/// `n`-shard engine gives shard `i`. Worker `i` of `n` replays
+/// partition_by_source(trace, n)[i]; the controller uses the same
 /// function for the reassignment fallback, so both sides always agree on
 /// who owns which source without ever shipping the trace over the wire.
 std::vector<std::vector<trace::TraceRecord>> partition_by_source(

@@ -12,6 +12,7 @@
 #include <mutex>
 
 #include "replay/checkpoint.hpp"
+#include "replay/partition.hpp"
 #include "replay/supervisor.hpp"
 #include "util/log.hpp"
 
@@ -24,10 +25,6 @@ constexpr TimeNs kStartupLead = 100 * kMilli;  // let worker threads spin up
 // Resend delay for queries that never reached the wire (kernel buffer
 // full): short, so the backlog clears as soon as the kernel drains.
 constexpr TimeNs kDeferredSendDelay = 10 * kMilli;
-// How long a blocking push waits between heartbeats, so a producer stuck
-// behind a stalled consumer still looks alive to the supervisor (and
-// re-checks for queue closure, which is how recovery unblocks it).
-constexpr TimeNs kPushBeatGrace = 100 * kMilli;
 }  // namespace
 
 void EngineReport::merge_from(EngineReport&& other) {
@@ -103,8 +100,13 @@ struct QuerierSnapshot {
 // ---------------------------------------------------------------------------
 class QueryEngine::Querier {
  public:
-  Querier(uint32_t id, const EngineConfig& config, const ReplayClock& clock)
-      : id_(id), config_(config), clock_(clock), queue_(config.queue_capacity) {
+  Querier(uint32_t id, const EngineConfig& config, const ReplayClock& clock,
+          const CheckpointState* resume)
+      : id_(id),
+        config_(config),
+        clock_(clock),
+        resume_(resume),
+        queue_(config.queue_capacity) {
     wake_fd_ = net::Fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
     thread_ = std::thread([this] { run(); });
   }
@@ -235,16 +237,16 @@ class QueryEngine::Querier {
   }
 
  private:
-  // Staged-send modes (batched_io): each replicates its scalar call site's
-  // post-send bookkeeping exactly, so a fixed-seed batched run reports the
-  // same counters as a scalar one.
+  // Send modes: which post-send bookkeeping a send gets, the same whether
+  // it leaves at once (scalar I/O) or with the round's sendmmsg (batched).
   static constexpr uint8_t kStageFresh = 0;  ///< send_query first attempt
   static constexpr uint8_t kStageAdopt = 1;  ///< adopt_pending resend
   static constexpr uint8_t kStageRetry = 2;  ///< lifecycle retransmit
 
-  /// One UDP send waiting for the per-round sendmmsg flush. The pending
-  /// query lives here (not in the table) until the flush resolves whether
-  /// it reached the wire; staged_count_ keeps maybe_finish honest.
+  /// One UDP send and its mode. Under batched_io it waits here for the
+  /// per-round sendmmsg flush: the pending query lives in the stage (not
+  /// the table) until the flush resolves whether it reached the wire;
+  /// staged_count_ keeps maybe_finish honest.
   struct StagedSend {
     PendingQuery pq;
     uint8_t mode;
@@ -298,8 +300,8 @@ class QueryEngine::Querier {
   /// Per-source fault stream, created on first use; nullptr when the
   /// engine runs without an impairment scenario. The name is derived from
   /// the *original trace source*, not the querier, so the pattern a source
-  /// sees is partition-independent (multi-controller equivalence). On
-  /// resume the stream fast-forwards to its checkpointed draw position.
+  /// sees is partition-independent (shard-count equivalence). On resume
+  /// the stream fast-forwards to its checkpointed draw position.
   fault::FaultStream* fault_stream(const char* prefix, const IpAddr& source) {
     if (!config_.fault.has_value()) return nullptr;
     std::string name = std::string(prefix) + source.to_string();
@@ -309,24 +311,25 @@ class QueryEngine::Querier {
                .emplace(name, std::make_unique<fault::FaultStream>(*config_.fault,
                                                                    name))
                .first;
-      if (config_.resume != nullptr) {
-        auto rit = config_.resume->streams.find(name);
-        if (rit != config_.resume->streams.end())
+      if (resume_ != nullptr) {
+        auto rit = resume_->streams.find(name);
+        if (rit != resume_->streams.end())
           it->second->restore(rit->second, clock_.real_origin());
       }
     }
     return it->second.get();
   }
 
-  /// Cumulative queries sent for one source, lazily seeded from the resume
-  /// checkpoint so snapshots always carry whole-replay counts.
+  /// Cumulative queries sent for one source, lazily seeded from the
+  /// shard's resume checkpoint so snapshots always carry whole-replay
+  /// counts.
   uint64_t& sent_count_for(const IpAddr& source) {
     auto it = sent_per_source_.find(source);
     if (it == sent_per_source_.end()) {
       uint64_t base = 0;
-      if (config_.resume != nullptr) {
-        auto rit = config_.resume->sent.find(source.to_string());
-        if (rit != config_.resume->sent.end()) base = rit->second;
+      if (resume_ != nullptr) {
+        auto rit = resume_->sent.find(source.to_string());
+        if (rit != resume_->sent.end()) base = rit->second;
       }
       it = sent_per_source_.emplace(source, base).first;
     }
@@ -441,9 +444,11 @@ class QueryEngine::Querier {
     heartbeat_.beat();
     // Drain the input queue without blocking: try_pop via size probe (this
     // thread is the only consumer while it runs; reap() only drains after
-    // the thread parks).
-    while (true) {
-      if (queue_.size() == 0) break;
+    // the thread parks). Take only what is queued now: the controller
+    // refills as fast as this loop pops, and chasing it would hold the
+    // querier here, away from due sends and filling sockets. Every later
+    // push wrote the eventfd again, so the loop comes back for it.
+    for (size_t n = queue_.size(); n > 0; --n) {
       auto rec = queue_.pop();
       if (!rec.has_value()) break;
       handle_record(std::move(*rec));
@@ -477,74 +482,13 @@ class QueryEngine::Querier {
     SendRecord& sr = *pq.extern_rec;
     pq.key = next_key_++;  // keys are per-querier; the orphan's would collide
     ++report_.lifecycle.adopted_resends;
-    TimeNs now = mono_now_ns();
     if (sr.send_time == 0) {
       // Restored from a checkpoint: the original monotonic timestamps died
       // with the process; latency restarts from the adoption resend.
-      sr.send_time = now;
-      pq.first_send = now;
+      sr.send_time = mono_now_ns();
+      pq.first_send = sr.send_time;
     }
-    auto fail = [&] {
-      ++report_.send_errors;
-      if (sr.outcome == QueryOutcome::Pending) {
-        sr.outcome = QueryOutcome::Errored;
-        ++report_.lifecycle.expired;
-      }
-    };
-    if (pq.transport == Transport::Udp) {
-      UdpSock* us = udp_socket_for(pq.source);
-      if (us == nullptr) {
-        fail();
-        return;
-      }
-      if (config_.batched_io) {
-        stage_udp(*us, std::move(pq), kStageAdopt, false);
-        return;
-      }
-      auto sent = us->sock->send_to(config_.server, pq.payload);
-      if (!sent.ok()) {
-        fail();
-        return;
-      }
-      pq.wire_sent = *sent;
-      if (!pq.wire_sent) ++report_.lifecycle.deferred_sends;
-      pq.deadline =
-          now + (pq.wire_sent ? config_.query_timeout : kDeferredSendDelay);
-      TimeNs deadline = pq.deadline;
-      if (us->pending.insert(std::move(pq))) ++report_.lifecycle.duplicate_ids;
-      note_in_flight(+1);
-      schedule_lifecycle(deadline);
-    } else {
-      TcpConn* conn = tcp_conn_for(pq.source);
-      if (conn == nullptr) {
-        fail();
-        return;
-      }
-      conn->last_activity = now;
-      pq.deadline = now + config_.query_timeout;
-      TimeNs deadline = pq.deadline;
-      if (!conn->connected) {
-        conn->backlog.push_back(pq.payload);
-        if (conn->pending.insert(std::move(pq)))
-          ++report_.lifecycle.duplicate_ids;
-        note_in_flight(+1);
-      } else {
-        size_t still_pending = 0;
-        auto out = tcp_send(conn, pq.source, now, pq.payload, &still_pending);
-        IpAddr source = pq.source;
-        if (conn->pending.insert(std::move(pq)))
-          ++report_.lifecycle.duplicate_ids;
-        note_in_flight(+1);
-        if (out == net::TcpSendOutcome::Error ||
-            out == net::TcpSendOutcome::LinkDown) {
-          close_tcp(source, /*lost=*/true);
-          return;
-        }
-        if (still_pending > 0)
-          (void)loop_.modify_fd(conn->stream.fd(), net::Interest{true, true});
-      }
-      schedule_lifecycle(deadline);
-    }
+    launch(std::move(pq), kStageAdopt);
   }
 
   void handle_record(TraceRecord rec) {
@@ -575,13 +519,7 @@ class QueryEngine::Querier {
         std::max(report_.max_in_flight, static_cast<uint64_t>(in_flight_));
   }
 
-  void fail_send(size_t index) {
-    ++report_.send_errors;
-    report_.sends[index].outcome = QueryOutcome::Errored;
-  }
-
   void send_query(const TraceRecord& rec) {
-    size_t index = report_.sends.size();
     SendRecord sr;
     sr.trace_time = rec.timestamp;
     sr.send_time = mono_now_ns();
@@ -598,79 +536,62 @@ class QueryEngine::Querier {
                     ? static_cast<uint16_t>(rec.dns_payload[0] << 8 |
                                             rec.dns_payload[1])
                     : 0;
-    pq.send_index = index;
+    pq.send_index = report_.sends.size() - 1;
     pq.transport = rec.transport;
     pq.first_send = sr.send_time;
     pq.source = rec.src.addr;
     pq.payload = rec.dns_payload;
+    launch(std::move(pq), kStageFresh);
+  }
 
-    if (rec.transport == Transport::Udp) {
-      UdpSock* us = udp_socket_for(rec.src.addr);
-      if (us == nullptr) {
-        fail_send(index);
-        return;
-      }
-      if (config_.batched_io) {
-        stage_udp(*us, std::move(pq), kStageFresh, false);
-        return;
-      }
-      auto sent = us->sock->send_to(config_.server, pq.payload);
-      if (!sent.ok()) {
-        fail_send(index);
-        return;
-      }
-      if (*sent) {
-        pq.deadline = pq.first_send + config_.query_timeout;
-      } else {
-        // Kernel buffer full: the query stays alive in the pending table
-        // and the lifecycle timer puts it on the wire shortly — it is
-        // deferred, not silently lost.
-        pq.wire_sent = false;
-        pq.deadline = pq.first_send + kDeferredSendDelay;
-        ++report_.lifecycle.deferred_sends;
-      }
-      TimeNs deadline = pq.deadline;
-      if (us->pending.insert(std::move(pq))) ++report_.lifecycle.duplicate_ids;
-      note_in_flight(+1);
-      schedule_lifecycle(deadline);
-    } else {
-      TcpConn* conn = tcp_conn_for(rec.src.addr);
-      if (conn == nullptr) {
-        fail_send(index);
-        return;
-      }
-      conn->last_activity = sr.send_time;
-      pq.deadline = pq.first_send + config_.query_timeout;
-      TimeNs deadline = pq.deadline;
-      if (!conn->connected) {
-        conn->backlog.push_back(pq.payload);
-        if (conn->pending.insert(std::move(pq)))
-          ++report_.lifecycle.duplicate_ids;
-        note_in_flight(+1);
-      } else {
-        size_t still_pending = 0;
-        auto out = tcp_send(conn, rec.src.addr, sr.send_time, pq.payload,
-                            &still_pending);
-        if (conn->pending.insert(std::move(pq)))
-          ++report_.lifecycle.duplicate_ids;
-        note_in_flight(+1);
-        if (out == net::TcpSendOutcome::Error ||
-            out == net::TcpSendOutcome::LinkDown) {
-          // Connection broke mid-send (or the link flapped away under it):
-          // the pending entry survives in the table, so the reconnect path
-          // resends it.
-          close_tcp(rec.src.addr, /*lost=*/true);
-          return;
-        }
-        // An Eaten message simply stays pending; the lifecycle timer
-        // resends it like any other timeout.
-        if (still_pending > 0) {
-          // Kernel buffer full: wait for writability to flush the rest.
-          (void)loop_.modify_fd(conn->stream.fd(), net::Interest{true, true});
-        }
-      }
-      schedule_lifecycle(deadline);
+  /// First send of a query from this querier, fresh (kStageFresh) or
+  /// adopted (kStageAdopt), on the source's socket or connection; the
+  /// entry then lives in that pending table until a terminal outcome.
+  void launch(PendingQuery pq, uint8_t mode) {
+    if (pq.transport == Transport::Udp) {
+      UdpSock* us = udp_socket_for(pq.source);
+      StagedSend st{std::move(pq), mode, false};
+      if (us == nullptr)
+        fail_staged(std::move(st));
+      else
+        send_udp(*us, std::move(st));
+      return;
     }
+    TcpConn* conn = tcp_conn_for(pq.source);
+    if (conn == nullptr) {
+      fail_staged(StagedSend{std::move(pq), mode, false});
+      return;
+    }
+    TimeNs now = mono_now_ns();
+    conn->last_activity = now;
+    pq.deadline = now + config_.query_timeout;
+    TimeNs deadline = pq.deadline;
+    IpAddr source = pq.source;
+    if (!conn->connected) {
+      conn->backlog.push_back(pq.payload);
+      if (conn->pending.insert(std::move(pq))) ++report_.lifecycle.duplicate_ids;
+      note_in_flight(+1);
+    } else {
+      size_t still_pending = 0;
+      auto out = tcp_send(conn, source, now, pq.payload, &still_pending);
+      if (conn->pending.insert(std::move(pq))) ++report_.lifecycle.duplicate_ids;
+      note_in_flight(+1);
+      if (out == net::TcpSendOutcome::Error ||
+          out == net::TcpSendOutcome::LinkDown) {
+        // Connection broke mid-send (or the link flapped away under it):
+        // the pending entry survives in the table, so the reconnect path
+        // resends it.
+        close_tcp(source, /*lost=*/true);
+        return;
+      }
+      // An Eaten message simply stays pending; the lifecycle timer
+      // resends it like any other timeout.
+      if (still_pending > 0) {
+        // Kernel buffer full: wait for writability to flush the rest.
+        (void)loop_.modify_fd(conn->stream.fd(), net::Interest{true, true});
+      }
+    }
+    schedule_lifecycle(deadline);
   }
 
   UdpSock* udp_socket_for(const IpAddr& source) {
@@ -689,11 +610,23 @@ class QueryEngine::Querier {
     return raw;
   }
 
-  // ---- batched UDP send path (batched_io) ----
+  // ---- UDP send path: scalar, or staged for a batched flush ----
 
-  void stage_udp(UdpSock& us, PendingQuery pq, uint8_t mode, bool was_on_wire) {
-    us.stage.push_back(StagedSend{std::move(pq), mode, was_on_wire});
-    ++staged_count_;
+  /// Send now (scalar I/O) or stage for the round's sendmmsg (batched_io);
+  /// either way the same post-send bookkeeping runs, so a fixed-seed run
+  /// reports identical counters in both modes.
+  void send_udp(UdpSock& us, StagedSend st) {
+    if (config_.batched_io) {
+      us.stage.push_back(std::move(st));
+      ++staged_count_;
+      return;
+    }
+    auto sent = us.sock->send_to(config_.server, st.pq.payload);
+    if (!sent.ok()) {
+      fail_staged(std::move(st));
+      return;
+    }
+    finish_udp_send(us, std::move(st), *sent, mono_now_ns());
   }
 
   /// Flush-hook body: one sendmmsg per socket covers everything staged
@@ -726,7 +659,7 @@ class QueryEngine::Querier {
       finish_udp_send(us, std::move(batch[i]), us.wire_flags[i] != 0, now);
   }
 
-  /// The batched spelling of each scalar call site's send-error branch.
+  /// A send that failed outright (no socket, or a hard send error).
   void fail_staged(StagedSend st) {
     SendRecord& sr = record_of(st.pq);
     ++report_.send_errors;
@@ -748,8 +681,8 @@ class QueryEngine::Querier {
     }
   }
 
-  /// Post-send bookkeeping for one flushed entry, mode-exact against the
-  /// scalar call sites in send_query / adopt_pending / handle_udp_due.
+  /// Post-send bookkeeping for one UDP send; `on_wire` false means the
+  /// kernel buffer was full (deferred, retried by the lifecycle timer).
   void finish_udp_send(UdpSock& us, StagedSend st, bool on_wire, TimeNs now) {
     PendingQuery pq = std::move(st.pq);
     if (st.mode == kStageRetry) {
@@ -758,6 +691,8 @@ class QueryEngine::Querier {
         ++report_.lifecycle.retries;
         ++sr.retries;
       } else if (on_wire) {
+        // First time this query actually reached the wire; latency still
+        // counts from the original send attempt.
         ++report_.lifecycle.deferred_sends;
       }
       pq.wire_sent = st.was_on_wire || on_wire;
@@ -1003,7 +938,7 @@ class QueryEngine::Querier {
     TimeNs now = mono_now_ns();
     for (auto& [source, us] : udp_socks_) {
       for (auto& pq : us->pending.take_due(now))
-        handle_udp_due(*us, std::move(pq), now);
+        handle_udp_due(*us, std::move(pq));
     }
     // Collect due TCP entries first: handling one may close/reopen
     // connections, which mutates tcp_conns_ mid-iteration otherwise.
@@ -1027,7 +962,7 @@ class QueryEngine::Querier {
     if (next.has_value()) schedule_lifecycle(*next);
   }
 
-  void handle_udp_due(UdpSock& us, PendingQuery pq, TimeNs now) {
+  void handle_udp_due(UdpSock& us, PendingQuery pq) {
     SendRecord& sr = record_of(pq);
     if (pq.wire_sent) ++report_.lifecycle.timeouts;
     if (pq.retries_used >= config_.max_retries) {
@@ -1038,33 +973,7 @@ class QueryEngine::Querier {
     }
     ++pq.retries_used;
     bool was_on_wire = pq.wire_sent;
-    if (config_.batched_io) {
-      stage_udp(us, std::move(pq), kStageRetry, was_on_wire);
-      return;
-    }
-    auto sent = us.sock->send_to(config_.server, pq.payload);
-    if (!sent.ok()) {
-      ++report_.send_errors;
-      ++report_.lifecycle.expired;
-      sr.outcome = QueryOutcome::Errored;
-      note_in_flight(-1);
-      return;
-    }
-    if (was_on_wire) {
-      ++report_.lifecycle.retries;
-      ++sr.retries;
-    } else if (*sent) {
-      // First time this query actually reached the wire; latency still
-      // counts from the original send attempt.
-      ++report_.lifecycle.deferred_sends;
-    }
-    pq.wire_sent = was_on_wire || *sent;
-    pq.deadline = now + (pq.wire_sent
-                             ? retry_backoff(config_.query_timeout,
-                                             pq.retries_used,
-                                             config_.retry_backoff_cap)
-                             : kDeferredSendDelay);
-    us.pending.insert(std::move(pq));  // reinsert: not a fresh collision
+    send_udp(us, StagedSend{std::move(pq), kStageRetry, was_on_wire});
   }
 
   void handle_tcp_due(const IpAddr& source, PendingQuery pq, TimeNs now) {
@@ -1192,6 +1101,7 @@ class QueryEngine::Querier {
   uint32_t id_;
   const EngineConfig& config_;
   const ReplayClock& clock_;
+  const CheckpointState* resume_;  ///< this querier's shard's, or nullptr
   BoundedQueue<TraceRecord> queue_;
   net::Fd wake_fd_;
   net::EventLoop loop_;
@@ -1249,48 +1159,65 @@ class QueryEngine::Querier {
 };
 
 // ---------------------------------------------------------------------------
-// Distributor: fans records out to its queriers, same-source sticky, and
-// folds their reports (counters, histograms, send records) into one on
-// collect so the controller merges per-distributor, not per-querier.
+// Distributor: a passive group of queriers — no thread, no queue. The
+// controller thread routes each record to one of the group's queriers,
+// same-source sticky, and pushes it straight onto that querier's queue
+// under the overload policy: a full queue either back-pressures the
+// controller (Block), evicts the oldest record with accounting
+// (DropOldest), or blocks with the stall time surfaced (ClampRate) so the
+// operator sees what the clock distortion cost. On collect the group
+// folds its queriers' reports (counters, histograms, send records) into
+// one.
 //
 // This is also where the self-healing happens: the supervisor's failure
 // callback reaps a dead querier, moves its sticky sources to a live
 // sibling, re-dispatches its unsent records and hands its in-flight
-// queries to the sibling for adoption; and where overload shedding
-// applies — a full querier queue either back-pressures (Block), evicts
-// the oldest record with accounting (DropOldest), or blocks with the
-// stall time surfaced (ClampRate) so the operator sees what the clock
-// distortion cost.
+// queries to the sibling for adoption.
 // ---------------------------------------------------------------------------
 class QueryEngine::Distributor {
  public:
   Distributor(uint32_t first_querier_id, size_t querier_count,
-              const EngineConfig& config, const ReplayClock& clock)
-      : config_(config), queue_(config.queue_capacity) {
+              const EngineConfig& config, const ReplayClock& clock,
+              const CheckpointState* resume)
+      : config_(config), partition_(querier_count) {
     for (size_t i = 0; i < querier_count; ++i) {
       queriers_.push_back(std::make_unique<Querier>(
-          first_querier_id + static_cast<uint32_t>(i), config, clock));
+          first_querier_id + static_cast<uint32_t>(i), config, clock, resume));
     }
     alive_.assign(queriers_.size(), true);
-    thread_ = std::thread([this] { run(); });
   }
 
-  ~Distributor() {
-    if (thread_.joinable()) thread_.join();
+  /// Controller thread: push `rec` onto its sticky querier's queue. A push
+  /// rejected as closed means the querier died under us (recovery closed
+  /// its queue); the record survived the rejected push, so re-route it.
+  void dispatch(TraceRecord rec) {
+    while (true) {
+      size_t idx;
+      {
+        std::lock_guard lock(map_mu_);
+        idx = querier_for_locked(rec.src.addr);
+      }
+      if (idx == SIZE_MAX) {
+        // Every querier is dead: shed with accounting, never hang.
+        shed_.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+      Querier& q = *queriers_[idx];
+      if (push(q.queue(), rec) == PushResult::Ok) {
+        q.wake();
+        return;
+      }
+      std::lock_guard lock(map_mu_);
+      alive_[idx] = false;
+    }
   }
 
-  /// Controller thread: overload policy applies here too, so a saturated
-  /// distributor sheds instead of silently stretching the replay clock.
-  void submit(TraceRecord rec) {
-    PushResult pr = push_with_policy(queue_, rec, nullptr);
-    if (pr != PushResult::Ok) shed_.fetch_add(1, std::memory_order_relaxed);
+  /// Controller thread, after the last record: close the input queues.
+  void finish() {
+    for (auto& q : queriers_) q->finish();
   }
 
-  void finish() { queue_.close(); }
-
-  void register_watches(Supervisor& supervisor, size_t dist_index) {
-    supervisor.watch("distributor-" + std::to_string(dist_index), &heartbeat_,
-                     nullptr);
+  void register_watches(Supervisor& supervisor) {
     for (size_t i = 0; i < queriers_.size(); ++i) {
       supervisor.watch("querier-" + std::to_string(queriers_[i]->id()),
                        &queriers_[i]->heartbeat(), [this, i] { recover(i); });
@@ -1315,14 +1242,7 @@ class QueryEngine::Distributor {
           break;
         }
       }
-      if (target != SIZE_MAX) {
-        for (auto& [source, qi] : source_to_querier_) {
-          if (qi == idx) {
-            qi = target;
-            ++moved;
-          }
-        }
-      }
+      if (target != SIZE_MAX) moved = partition_.move_all(idx, target);
     }
     queriers_[idx]->release();
     {
@@ -1361,7 +1281,7 @@ class QueryEngine::Distributor {
     return queriers_[idx]->adopt(one);
   }
 
-  /// Fold the queriers' latest published snapshots (and this distributor's
+  /// Fold the queriers' latest published snapshots (and this group's
   /// recovery/shedding ledger) into a checkpoint cut. Supervisor thread or
   /// controller thread (final checkpoint, after joins).
   void gather(CheckpointState& state) {
@@ -1373,19 +1293,10 @@ class QueryEngine::Distributor {
       for (auto& [name, pos] : s.streams) state.streams[name] = pos;
       for (auto& [ip, n] : s.sent) state.sent[ip] = n;
     }
-    {
-      std::lock_guard lock(recover_mu_);
-      EngineReport copy = recover_report_;
-      state.partial.merge_from(std::move(copy));
-    }
-    state.partial.shed_queries += shed_.load(std::memory_order_relaxed);
-    state.partial.clamp_stall_ns +=
-        clamp_stall_ns_.load(std::memory_order_relaxed);
-    state.partial.queue_hwm = std::max(state.partial.queue_hwm, high_water());
+    add_ledger(state.partial);
   }
 
   void join_all() {
-    if (thread_.joinable()) thread_.join();
     for (auto& q : queriers_) q->join();
   }
 
@@ -1393,76 +1304,51 @@ class QueryEngine::Distributor {
     join_all();
     EngineReport merged;
     for (auto& q : queriers_) merged.merge_from(q->take_report());
-    {
-      // Copy, not move: the final checkpoint gather still reads this.
-      std::lock_guard lock(recover_mu_);
-      EngineReport copy = recover_report_;
-      merged.merge_from(std::move(copy));
-    }
-    merged.shed_queries += shed_.load(std::memory_order_relaxed);
-    merged.clamp_stall_ns += clamp_stall_ns_.load(std::memory_order_relaxed);
-    merged.queue_hwm = std::max(merged.queue_hwm, high_water());
+    add_ledger(merged);
     return merged;
   }
 
  private:
-  uint64_t high_water() const {
-    uint64_t hwm = queue_.high_water();
+  /// Add the recovery ledger, shed and clamp counters and the queue high
+  /// water to `report`. Copies, not moves: the final checkpoint gather
+  /// still reads the ledger after collect.
+  void add_ledger(EngineReport& report) {
+    {
+      std::lock_guard lock(recover_mu_);
+      EngineReport copy = recover_report_;
+      report.merge_from(std::move(copy));
+    }
+    report.shed_queries += shed_.load(std::memory_order_relaxed);
+    report.clamp_stall_ns += clamp_stall_ns_.load(std::memory_order_relaxed);
     for (const auto& q : queriers_)
-      hwm = std::max<uint64_t>(hwm, q->queue_high_water());
-    return hwm;
+      report.queue_hwm =
+          std::max<uint64_t>(report.queue_hwm, q->queue_high_water());
   }
 
-  /// Push under the configured overload policy. Block and ClampRate loop
-  /// with a bounded grace so the producer keeps beating (and re-checks for
-  /// closure — recovery closes a dead querier's queue to unblock us).
-  PushResult push_with_policy(BoundedQueue<TraceRecord>& q, TraceRecord& rec,
-                              Heartbeat* hb) {
-    switch (config_.overload) {
-      case OverloadPolicy::DropOldest: {
-        PushResult pr = q.push_for(rec, config_.shed_grace);
-        if (pr != PushResult::Full) return pr;
-        std::optional<TraceRecord> evicted;
-        pr = q.evict_push(rec, evicted);
-        if (pr == PushResult::Ok && evicted.has_value())
-          shed_.fetch_add(1, std::memory_order_relaxed);
-        return pr;
-      }
-      case OverloadPolicy::ClampRate: {
-        PushResult pr = q.push_for(rec, config_.shed_grace);
-        if (pr != PushResult::Full) return pr;
-        TimeNs t0 = mono_now_ns();
-        while ((pr = q.push_for(rec, kPushBeatGrace)) == PushResult::Full) {
-          if (hb != nullptr) hb->beat();
-        }
-        clamp_stall_ns_.fetch_add(mono_now_ns() - t0,
-                                  std::memory_order_relaxed);
-        return pr;
-      }
-      case OverloadPolicy::Block:
-      default: {
-        PushResult pr;
-        while ((pr = q.push_for(rec, kPushBeatGrace)) == PushResult::Full) {
-          if (hb != nullptr) hb->beat();
-        }
-        return pr;
-      }
+  /// The one bounded push, under the configured overload policy. Returns
+  /// Ok, or Closed with `rec` intact — recovery closes a dead querier's
+  /// queue, which also wakes a push blocked on it.
+  PushResult push(BoundedQueue<TraceRecord>& q, TraceRecord& rec) {
+    if (config_.overload == OverloadPolicy::Block) return q.push_for(rec, -1);
+    PushResult pr = q.push_for(rec, config_.shed_grace);
+    if (pr != PushResult::Full) return pr;
+    if (config_.overload == OverloadPolicy::DropOldest) {
+      std::optional<TraceRecord> evicted;
+      pr = q.evict_push(rec, evicted);
+      if (pr == PushResult::Ok && evicted.has_value())
+        shed_.fetch_add(1, std::memory_order_relaxed);
+      return pr;
     }
+    TimeNs t0 = mono_now_ns();  // ClampRate: keep blocking, but account it
+    pr = q.push_for(rec, -1);
+    clamp_stall_ns_.fetch_add(mono_now_ns() - t0, std::memory_order_relaxed);
+    return pr;
   }
 
   /// Sticky querier for a source, skipping dead queriers; SIZE_MAX when
   /// none is left alive. Caller holds map_mu_.
   size_t querier_for_locked(const IpAddr& source) {
-    auto it = source_to_querier_.find(source);
-    if (it != source_to_querier_.end() && alive_[it->second]) return it->second;
-    for (size_t tries = 0; tries < queriers_.size(); ++tries) {
-      size_t idx = next_++ % queriers_.size();
-      if (alive_[idx]) {
-        source_to_querier_[source] = idx;
-        return idx;
-      }
-    }
-    return SIZE_MAX;
+    return partition_.place(source, [this](size_t i) { return alive_[i]; });
   }
 
   /// Nobody can take the salvage: account every query as lost, loudly.
@@ -1478,58 +1364,14 @@ class QueryEngine::Distributor {
     }
   }
 
-  void run() {
-    while (true) {
-      // Bounded pop so the heartbeat advances even on an idle queue.
-      auto rec = queue_.pop_for(kPushBeatGrace);
-      heartbeat_.beat();
-      if (!rec.has_value()) {
-        if (queue_.closed_and_empty()) break;
-        continue;
-      }
-      route(std::move(*rec));
-    }
-    for (auto& q : queriers_) q->finish();
-    heartbeat_.mark_done();
-  }
-
-  void route(TraceRecord rec) {
-    while (true) {
-      size_t idx;
-      {
-        std::lock_guard lock(map_mu_);
-        idx = querier_for_locked(rec.src.addr);
-      }
-      if (idx == SIZE_MAX) {
-        // Every querier is dead: shed with accounting, never hang.
-        shed_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      Querier& q = *queriers_[idx];
-      PushResult pr = push_with_policy(q.queue(), rec, &heartbeat_);
-      if (pr == PushResult::Ok) {
-        q.wake();
-        return;
-      }
-      // Closed: the querier died under us (recovery closed its queue).
-      // The record survived the rejected push — re-route it.
-      std::lock_guard lock(map_mu_);
-      alive_[idx] = false;
-      source_to_querier_.erase(rec.src.addr);
-    }
-  }
-
   const EngineConfig& config_;
-  BoundedQueue<TraceRecord> queue_;
   std::vector<std::unique_ptr<Querier>> queriers_;
-  Heartbeat heartbeat_;
 
   // Sticky source→querier map plus liveness, shared with the supervisor's
   // recovery callback (which remaps a dead querier's sources).
   std::mutex map_mu_;
-  std::unordered_map<IpAddr, size_t, IpAddrHash> source_to_querier_;
+  SourcePartition partition_;
   std::vector<bool> alive_;
-  size_t next_ = 0;
 
   // Recovery ledger: failure counts and grave-yarded query accounting,
   // written by the supervisor thread, merged after all joins.
@@ -1538,8 +1380,44 @@ class QueryEngine::Distributor {
 
   std::atomic<uint64_t> shed_{0};
   std::atomic<uint64_t> clamp_stall_ns_{0};
+};
 
-  std::thread thread_;
+// ---------------------------------------------------------------------------
+// Shard: the distributor groups whose snapshots go to one checkpoint file
+// and resume from one checkpoint state. Sources are split over shards and
+// then over a shard's groups by the same first-appearance rule.
+// ---------------------------------------------------------------------------
+struct QueryEngine::Shard {
+  std::vector<std::unique_ptr<Distributor>> distributors;
+  SourcePartition distributor_of{1};
+  const CheckpointState* resume = nullptr;
+  std::string checkpoint_path;
+  TraceFingerprint fingerprint;  ///< of this shard's slice of the trace
+  uint64_t queries = 0;          ///< query records in that slice
+  std::atomic<uint64_t> mutator_dropped{0};
+  // Stable storage for restored in-flight records: adopting queriers write
+  // outcomes through pointers into this vector, so it must never grow
+  // after the pointers are handed out.
+  std::vector<SendRecord> adopted_records;
+  uint64_t restore_failures = 0;
+
+  /// The checkpoint cut for this shard: the resumed base (cumulative
+  /// across restores), overwritten by whatever its queriers have touched
+  /// since.
+  CheckpointState gather() {
+    CheckpointState st;
+    st.trace_hash = fingerprint.value();
+    st.trace_queries = queries;
+    if (resume != nullptr) {
+      st.partial = resume->partial;
+      st.streams = resume->streams;
+      st.sent = resume->sent;
+    }
+    st.partial.mutator_dropped +=
+        mutator_dropped.load(std::memory_order_relaxed);
+    for (auto& d : distributors) d->gather(st);
+    return st;
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -1555,31 +1433,69 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
     return Err("need at least one distributor and querier");
   if (shared_clock != nullptr && !shared_clock->started())
     return Err("shared clock not started");
-  if (config_.shards > 1) return replay_sharded(trace, shared_clock);
-
-  if (config_.resume != nullptr && config_.resume_shards != nullptr)
-    return Err("resume and resume_shards are mutually exclusive");
-  if (config_.resume_shards != nullptr)
+  const size_t shard_count = std::max<size_t>(1, config_.shards);
+  if (shard_count == 1 && config_.resume_shards != nullptr)
     return Err("resume_shards requires shards > 1 (use resume)");
-
-  const CheckpointState* resume = config_.resume;
-  const bool checkpointing = config_.checkpointing();
-  uint64_t fingerprint = 0;
-  uint64_t total_queries = 0;
-  if (checkpointing || resume != nullptr) {
-    fingerprint = trace_fingerprint(trace);
-    for (const auto& rec : trace)
-      if (rec.direction == trace::Direction::Query) ++total_queries;
+  if (shard_count > 1) {
+    if (config_.resume != nullptr)
+      return Err("sharded resume takes per-shard states (resume_shards), not a single checkpoint");
+    if (config_.resume_shards != nullptr &&
+        config_.resume_shards->size() != shard_count)
+      return Err("resume_shards size does not match the shard count");
+    // A per-shard sink would interleave unrelated slices.
+    if (config_.checkpoint_sink)
+      return Err("checkpoint_sink is incompatible with shards > 1");
   }
-  if (resume != nullptr && resume->trace_hash != fingerprint)
-    return Err("checkpoint was taken against a different trace");
 
-  // Per-source skip counts: how many query records the checkpoint already
+  // Each shard checkpoints its own slice to its own file and resumes from
+  // its own state. trace_hash 0 marks a shard that died before its first
+  // snapshot: it replays its slice from the start (re-sent queries are
+  // counted once, the same contract as post-snapshot sends on resume).
+  std::vector<Shard> shards(shard_count);
+  bool resuming = false;
+  for (size_t i = 0; i < shard_count; ++i) {
+    Shard& sh = shards[i];
+    sh.distributor_of = SourcePartition(config_.distributors);
+    if (shard_count == 1) {
+      sh.resume = config_.resume;
+      sh.checkpoint_path = config_.checkpoint_path;
+    } else {
+      if (config_.resume_shards != nullptr &&
+          (*config_.resume_shards)[i].trace_hash != 0)
+        sh.resume = &(*config_.resume_shards)[i];
+      if (!config_.checkpoint_path.empty())
+        sh.checkpoint_path = shard_checkpoint_path(config_.checkpoint_path, i);
+    }
+    resuming = resuming || sh.resume != nullptr;
+  }
+
+  // A record's shard is decided by its trace source, before mutation, so
+  // the split is a function of the input alone — the same slices
+  // dist::partition_by_source hands to worker processes — and each shard's
+  // fingerprint can be taken before anything is sent.
+  const bool checkpointing = config_.checkpointing();
+  SourcePartition shard_of(shard_count);
+  if (checkpointing || resuming) {
+    for (const auto& rec : trace) {
+      if (rec.direction != trace::Direction::Query) continue;
+      Shard& sh = shards[shard_of.place(rec.src.addr)];
+      sh.fingerprint.add(rec);
+      ++sh.queries;
+    }
+    for (const auto& sh : shards)
+      if (sh.resume != nullptr &&
+          sh.resume->trace_hash != sh.fingerprint.value())
+        return Err("checkpoint was taken against a different trace");
+  }
+
+  // Per-source skip counts: how many query records the checkpoints already
   // put on the wire (mutator-dropped records never counted, so the skip
-  // applies to mutator-surviving records only).
+  // applies to mutator-surviving records only). Shards own disjoint
+  // sources, so one map serves them all.
   std::unordered_map<IpAddr, uint64_t, IpAddrHash> skip;
-  if (resume != nullptr) {
-    for (const auto& [ip, n] : resume->sent) {
+  for (const auto& sh : shards) {
+    if (sh.resume == nullptr) continue;
+    for (const auto& [ip, n] : sh.resume->sent) {
       auto addr = IpAddr::parse(ip);
       if (!addr.ok()) return Err("checkpoint: bad source address " + ip);
       skip[*addr] = n;
@@ -1588,12 +1504,12 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
 
   // Time synchronization broadcast (§2.6): latch t̄₁ from the first query
   // and t₁ slightly in the future so worker startup cost doesn't make the
-  // first queries late. On resume, re-anchor at the first record the
-  // checkpoint hasn't sent, so the remaining schedule plays at original
-  // pace instead of sprinting through the already-replayed prefix. A
-  // shared clock (multi-controller replay) overrides.
+  // first queries late. On resume, re-anchor at the first record no
+  // checkpoint has sent, so the remaining schedule plays at original pace
+  // instead of sprinting through the already-replayed prefix. A shared
+  // clock (a worker process's barrier start) overrides.
   TimeNs anchor_ts = trace.front().timestamp;
-  if (resume != nullptr) {
+  if (resuming) {
     auto remaining = skip;
     for (const auto& rec : trace) {
       if (rec.direction != trace::Direction::Query) continue;
@@ -1610,74 +1526,50 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
   own_clock.start(anchor_ts, mono_now_ns() + kStartupLead);
   const ReplayClock& clock = shared_clock != nullptr ? *shared_clock : own_clock;
 
-  // Stable storage for restored in-flight records: adopting queriers write
-  // outcomes through pointers into this vector, so it must never grow
-  // after the pointers are handed out.
-  std::vector<SendRecord> adopted_records;
-  adopted_records.reserve(resume != nullptr ? resume->pending.size() : 0);
-
-  std::vector<std::unique_ptr<Distributor>> distributors;
-  for (size_t i = 0; i < config_.distributors; ++i) {
-    distributors.push_back(std::make_unique<Distributor>(
-        static_cast<uint32_t>(i * config_.queriers_per_distributor),
-        config_.queriers_per_distributor, config_, clock));
+  // Querier ids are engine-wide, so a querier_stall:<id> fault wedges
+  // exactly one querier at any shard count.
+  uint32_t next_id = 0;
+  for (auto& sh : shards) {
+    for (size_t i = 0; i < config_.distributors; ++i) {
+      sh.distributors.push_back(std::make_unique<Distributor>(
+          next_id, config_.queriers_per_distributor, config_, clock,
+          sh.resume));
+      next_id += static_cast<uint32_t>(config_.queriers_per_distributor);
+    }
   }
-
-  auto distributor_for = [&](const IpAddr& source) {
-    auto it = source_to_distributor_.find(source);
-    if (it != source_to_distributor_.end()) return it->second;
-    size_t idx = next_distributor_++ % distributors.size();
-    source_to_distributor_.emplace(source, idx);
-    return idx;
-  };
-
-  std::atomic<uint64_t> mutator_dropped{0};
 
   // Supervision and the checkpoint ticker share one background thread.
   Supervisor supervisor(Supervisor::Config{
       config_.supervision_interval, config_.heartbeat_timeout,
       config_.checkpoint_interval});
-  auto gather_state = [&] {
-    CheckpointState st;
-    st.trace_hash = fingerprint;
-    st.trace_queries = total_queries;
-    if (resume != nullptr) {
-      // Cumulative across restores: the resumed base, overwritten by
-      // whatever this incarnation's queriers have touched since.
-      st.partial = resume->partial;
-      st.streams = resume->streams;
-      st.sent = resume->sent;
-    }
-    st.partial.mutator_dropped +=
-        mutator_dropped.load(std::memory_order_relaxed);
-    for (auto& d : distributors) d->gather(st);
-    return st;
-  };
-  if (config_.supervise) {
-    for (size_t i = 0; i < distributors.size(); ++i)
-      distributors[i]->register_watches(supervisor, i);
-  }
-  if (checkpointing) {
-    supervisor.set_checkpoint([&] {
-      CheckpointState st = gather_state();
-      if (!config_.checkpoint_path.empty()) {
-        auto saved = save_checkpoint(config_.checkpoint_path, st);
+  auto write_checkpoints = [&](const char* what) {
+    for (auto& sh : shards) {
+      CheckpointState st = sh.gather();
+      if (!sh.checkpoint_path.empty()) {
+        auto saved = save_checkpoint(sh.checkpoint_path, st);
         if (!saved.ok())
-          LDP_WARN("replay", "checkpoint failed: " << saved.error().message);
+          LDP_WARN("replay", what << " failed: " << saved.error().message);
       }
       if (config_.checkpoint_sink) config_.checkpoint_sink(st);
-    });
+    }
+  };
+  if (config_.supervise) {
+    for (auto& sh : shards)
+      for (auto& d : sh.distributors) d->register_watches(supervisor);
   }
+  if (checkpointing)
+    supervisor.set_checkpoint([&] { write_checkpoints("checkpoint"); });
   if (config_.supervise || checkpointing) supervisor.start();
 
   // Restored in-flight queries are adopted before dispatch, so their
   // sources' sticky assignment is decided by the query that was first on
   // the wire.
-  uint64_t restore_failures = 0;
-  if (resume != nullptr) {
-    for (const auto& cp : resume->pending) {
-      adopted_records.push_back(cp.record);
-      SendRecord& rec = adopted_records.back();
+  for (auto& sh : shards) {
+    if (sh.resume == nullptr) continue;
+    sh.adopted_records.reserve(sh.resume->pending.size());
+    for (const auto& cp : sh.resume->pending) {
+      sh.adopted_records.push_back(cp.record);
+      SendRecord& rec = sh.adopted_records.back();
       rec.send_time = 0;  // sentinel: re-stamped when the adopter resends
       rec.latency = -1;
       rec.outcome = QueryOutcome::Pending;
@@ -1691,19 +1583,21 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
       pq.source = cp.record.source;
       pq.extern_rec = &rec;
       pq.payload = cp.payload;
-      size_t idx = distributor_for(pq.source);
-      if (!distributors[idx]->adopt_restored(std::move(pq))) {
+      size_t idx = sh.distributor_of.place(pq.source);
+      if (!sh.distributors[idx]->adopt_restored(std::move(pq))) {
         rec.outcome = QueryOutcome::Errored;
-        ++restore_failures;
+        ++sh.restore_failures;
       }
     }
   }
 
-  // The Postman: dispatch records, same-source sticky across distributors,
-  // mutating live when configured, skipping what the checkpoint already
-  // replayed.
+  // The Postman: mutate each record once (on this thread, so stateful user
+  // closures never see concurrent calls), skip what the checkpoints
+  // already replayed, and hand the rest to the record's shard, distributor
+  // group and querier.
   for (const auto& rec : trace) {
     if (rec.direction != trace::Direction::Query) continue;
+    Shard& sh = shards[shard_of.place(rec.src.addr)];
     auto sk = skip.find(rec.src.addr);
     bool skipping = sk != skip.end() && sk->second > 0;
     TraceRecord record = rec;
@@ -1711,7 +1605,8 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
       auto verdict = config_.live_mutator->apply(record);
       if (!verdict.ok() || *verdict == mutate::Verdict::Drop) {
         // Pre-cut drops are already inside the checkpoint's counter.
-        if (!skipping) mutator_dropped.fetch_add(1, std::memory_order_relaxed);
+        if (!skipping)
+          sh.mutator_dropped.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
     }
@@ -1719,10 +1614,11 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
       --sk->second;
       continue;
     }
-    size_t idx = distributor_for(record.src.addr);
-    distributors[idx]->submit(std::move(record));
+    size_t idx = sh.distributor_of.place(record.src.addr);
+    sh.distributors[idx]->dispatch(std::move(record));
   }
-  for (auto& d : distributors) d->finish();
+  for (auto& sh : shards)
+    for (auto& d : sh.distributors) d->finish();
 
   // Shutdown order matters. The supervisor stays alive across the joins:
   // a querier parked by a stall is only ever released through the
@@ -1732,164 +1628,35 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
   // querier must be joined BEFORE any report is merged — sibling adopters
   // write through extern pointers into each other's send vectors until
   // they exit, and merging moves those vectors.
-  for (auto& d : distributors) d->join_all();
+  for (auto& sh : shards)
+    for (auto& d : sh.distributors) d->join_all();
   supervisor.stop();
 
   EngineReport merged;
-  merged.mutator_dropped = mutator_dropped.load(std::memory_order_relaxed);
   merged.replay_start = clock.real_origin();
-  for (auto& d : distributors) merged.merge_from(d->collect());
-
-  // Restored records that never resolved (adopter shut down first, or the
-  // adoption itself failed) expire with accounting.
-  for (auto& rec : adopted_records) {
-    if (rec.outcome == QueryOutcome::Pending) {
-      rec.outcome = QueryOutcome::Errored;
-      ++merged.lifecycle.expired;
+  for (auto& sh : shards) {
+    merged.mutator_dropped += sh.mutator_dropped.load(std::memory_order_relaxed);
+    for (auto& d : sh.distributors) merged.merge_from(d->collect());
+    // Restored records that never resolved (adopter shut down first, or
+    // the adoption itself failed) expire with accounting.
+    for (auto& rec : sh.adopted_records) {
+      if (rec.outcome == QueryOutcome::Pending) {
+        rec.outcome = QueryOutcome::Errored;
+        ++merged.lifecycle.expired;
+      }
     }
-  }
-  merged.lifecycle.expired += restore_failures;
-  merged.sends.insert(merged.sends.end(), adopted_records.begin(),
-                      adopted_records.end());
-  if (resume != nullptr) {
-    EngineReport base = resume->partial;
-    merged.merge_from(std::move(base));
+    merged.lifecycle.expired += sh.restore_failures;
+    merged.sends.insert(merged.sends.end(), sh.adopted_records.begin(),
+                        sh.adopted_records.end());
+    if (sh.resume != nullptr) {
+      EngineReport base = sh.resume->partial;
+      merged.merge_from(std::move(base));
+    }
   }
 
   // Final quiescent checkpoint: a completed replay's file resumes into a
   // no-op (and the kill-and-resume smoke path reads its counters).
-  if (checkpointing) {
-    CheckpointState st = gather_state();
-    if (!config_.checkpoint_path.empty()) {
-      auto saved = save_checkpoint(config_.checkpoint_path, st);
-      if (!saved.ok())
-        LDP_WARN("replay", "final checkpoint failed: " << saved.error().message);
-    }
-    if (config_.checkpoint_sink) config_.checkpoint_sink(st);
-  }
-
-  distributors.clear();
-  source_to_distributor_.clear();
-  next_distributor_ = 0;
-  return merged;
-}
-
-Result<EngineReport> QueryEngine::replay_sharded(
-    const std::vector<TraceRecord>& trace, const ReplayClock* shared_clock) {
-  // Checkpoints shard alongside the queriers: each shard engine snapshots
-  // its own slice to `<path>.shard<N>` and resumes from its own state, so
-  // the single-shard consistency argument holds per slice. Whole-trace
-  // resume state is carried per shard (resume_shards), never as one file.
-  if (config_.resume != nullptr)
-    return Err("sharded resume takes per-shard states (resume_shards), not a single checkpoint");
-  if (config_.resume_shards != nullptr &&
-      config_.resume_shards->size() != config_.shards)
-    return Err("resume_shards size does not match the shard count");
-  if (config_.checkpoint_sink)
-    return Err("checkpoint_sink is incompatible with shards > 1");
-
-  // The live mutator is applied here, on the one controller thread, before
-  // partitioning — exactly the single-shard Postman order — so stateful
-  // user closures never see concurrent calls and drop accounting stays
-  // centralized. Sticky partition by source in first-appearance order
-  // (deterministic and balanced, the same policy distributor_for uses), so
-  // a source's queries — and therefore its connections and its per-source
-  // fault stream — live on exactly one shard.
-  std::vector<std::vector<TraceRecord>> slices(config_.shards);
-  std::unordered_map<IpAddr, size_t, IpAddrHash> source_to_shard;
-  uint64_t mutator_dropped = 0;
-  for (const auto& rec : trace) {
-    if (rec.direction != trace::Direction::Query) continue;
-    TraceRecord record = rec;
-    if (config_.live_mutator != nullptr) {
-      auto verdict = config_.live_mutator->apply(record);
-      if (!verdict.ok() || *verdict == mutate::Verdict::Drop) {
-        ++mutator_dropped;
-        continue;
-      }
-    }
-    auto [it, fresh] =
-        source_to_shard.emplace(record.src.addr, source_to_shard.size() % config_.shards);
-    slices[it->second].push_back(std::move(record));
-    (void)fresh;
-  }
-
-  // One synchronization point for every shard (t̄₁ from the whole trace),
-  // so the merged send schedule matches an unsharded replay. A sharded
-  // resume re-anchors at the globally earliest record no shard has sent —
-  // the shared clock overrides the sub-engines' own re-anchoring, so the
-  // fast-forward has to happen here.
-  TimeNs anchor_ts = trace.front().timestamp;
-  if (config_.resume_shards != nullptr) {
-    bool found = false;
-    for (size_t i = 0; i < config_.shards; ++i) {
-      const CheckpointState& st = (*config_.resume_shards)[i];
-      std::unordered_map<IpAddr, uint64_t, IpAddrHash> remaining;
-      for (const auto& [ip, n] : st.sent) {
-        auto addr = IpAddr::parse(ip);
-        if (!addr.ok()) return Err("shard checkpoint: bad source address " + ip);
-        remaining[*addr] = n;
-      }
-      for (const auto& rec : slices[i]) {
-        auto it = remaining.find(rec.src.addr);
-        if (it != remaining.end() && it->second > 0) {
-          --it->second;
-          continue;
-        }
-        if (!found || rec.timestamp < anchor_ts) anchor_ts = rec.timestamp;
-        found = true;
-        break;
-      }
-    }
-  }
-  ReplayClock own_clock;
-  own_clock.start(anchor_ts, mono_now_ns() + kStartupLead);
-  const ReplayClock& clock = shared_clock != nullptr ? *shared_clock : own_clock;
-
-  // One full worker pipeline per shard, each a plain single-shard engine
-  // (mutation already applied above) with its own checkpoint file and its
-  // own resume state. Results land in per-shard slots and merge after the
-  // joins.
-  EngineConfig sub_cfg = config_;
-  sub_cfg.shards = 1;
-  sub_cfg.live_mutator = nullptr;
-  sub_cfg.resume_shards = nullptr;
-  std::vector<std::optional<Result<EngineReport>>> slots(config_.shards);
-  std::vector<std::unique_ptr<QueryEngine>> engines;
-  std::vector<std::thread> threads;
-  engines.reserve(config_.shards);
-  threads.reserve(config_.shards);
-  for (size_t i = 0; i < config_.shards; ++i) {
-    EngineConfig cfg = sub_cfg;
-    if (!config_.checkpoint_path.empty())
-      cfg.checkpoint_path = shard_checkpoint_path(config_.checkpoint_path, i);
-    // trace_hash 0 marks a shard that died before its first snapshot: it
-    // replays its slice from the start (re-sent queries are counted once,
-    // same contract as post-snapshot sends in a single-shard resume).
-    if (config_.resume_shards != nullptr &&
-        (*config_.resume_shards)[i].trace_hash != 0)
-      cfg.resume = &(*config_.resume_shards)[i];
-    engines.push_back(std::make_unique<QueryEngine>(std::move(cfg)));
-  }
-  for (size_t i = 0; i < config_.shards; ++i) {
-    threads.emplace_back([&clock, &slices, &slots, &engines, i] {
-      if (slices[i].empty()) {
-        slots[i] = EngineReport{};
-        return;
-      }
-      slots[i] = engines[i]->replay(slices[i], &clock);
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  EngineReport merged;
-  merged.replay_start = clock.real_origin();
-  merged.mutator_dropped = mutator_dropped;
-  for (auto& slot : slots) {
-    if (!slot.has_value()) return Err("shard produced no report");
-    if (!slot->ok()) return Err(slot->error().message);
-    merged.merge_from(std::move(slot->value()));
-  }
+  if (checkpointing) write_checkpoints("final checkpoint");
   return merged;
 }
 

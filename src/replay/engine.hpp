@@ -1,12 +1,24 @@
-// The distributed query engine (§2.6, §3): Controller (Reader + Postman) →
-// Distributors → Queriers, with same-source stickiness at every level so
-// connection reuse can be emulated faithfully.
+// The query engine (§2.6, §3): one controller (Reader + Postman) feeds
+// every querier, same-source sticky at every level so connection reuse can
+// be emulated faithfully.
+//
+// The controller is the calling thread. It picks each record's shard by the
+// record's trace source, mutates the record once, then picks a distributor
+// group within the shard and a querier within the group — all by the
+// shared first-appearance rule (partition.hpp) — and pushes the record
+// straight onto that querier's queue under the overload policy. Distributors and shards own no thread:
+// a distributor is a group of queriers with its own sticky map, liveness
+// and recovery; a shard is the set of groups that checkpoint to one file.
+// A replay runs shards × distributors × queriers querier threads plus at
+// most one supervisor thread.
 //
 // Substitution note (DESIGN.md): the paper runs distributors/queriers as
-// processes on separate client hosts connected by TCP; here they are
-// threads connected by bounded queues. The query path itself — the part
-// whose timing the evaluation validates — uses real UDP/TCP sockets against
-// a real server endpoint, and the §2.6 scheduling math runs unchanged.
+// processes on separate client hosts connected by TCP; here queriers are
+// threads fed through bounded queues, and the multi-host split is
+// `--workers` processes (src/replay/dist/). The query path itself — the
+// part whose timing the evaluation validates — uses real UDP/TCP sockets
+// against a real server endpoint, and the §2.6 scheduling math runs
+// unchanged.
 #pragma once
 
 #include <functional>
@@ -30,7 +42,7 @@ namespace ldp::replay {
 
 struct CheckpointState;  // checkpoint.hpp (engine.cpp includes it)
 
-/// What a distributor does when a querier queue stays full past the grace
+/// What the controller does when a querier queue stays full past the grace
 /// period (a stalled or overloaded consumer). Block preserves every query
 /// at the cost of stalling the controller clock; the shedding policies
 /// keep the clock honest and account for what they cost.
@@ -44,17 +56,17 @@ struct EngineConfig {
   Endpoint server;            ///< where replayed queries go
   size_t distributors = 1;
   size_t queriers_per_distributor = 2;
-  /// Sharded querier pool: with shards > 1, replay() partitions the trace
-  /// by source (sticky — a source never spans shards, so connection reuse
-  /// and same-source ordering hold) into this many slices and runs each
-  /// through its own full worker pipeline (distributors × queriers, own
-  /// event loops) on a shared replay clock, merging the per-shard reports
-  /// after the joins. The per-source fault-draw schedule is a function of
-  /// the seed alone ("udp:<src>"/"tcp:<src>" stream names), so fixed-seed
-  /// impairment counters are identical at any shard count. shards == 1 is
-  /// byte-for-byte the unsharded code path. With checkpoint_path set, each
-  /// shard snapshots its own slice to `<path>.shard<N>`; resume takes the
-  /// matching per-shard states via `resume_shards`.
+  /// Sharded querier pool: the controller splits sources over this many
+  /// shards (sticky — a source never spans shards, so connection reuse and
+  /// same-source ordering hold). A shard owns no thread: it is its own
+  /// distributors × queriers, checkpointed together, and every shard runs
+  /// on one replay clock, one controller and one supervisor.
+  /// The per-source fault-draw schedule is a function of the seed alone
+  /// ("udp:<src>"/"tcp:<src>" stream names), so fixed-seed impairment
+  /// counters are identical at any shard count. Querier ids are numbered
+  /// engine-wide. With checkpoint_path set, each shard snapshots its own
+  /// slice to `<path>.shard<N>`; resume takes the matching per-shard
+  /// states via `resume_shards`.
   size_t shards = 1;
   /// Timed replay reproduces trace timing; fast mode sends as fast as
   /// possible (§2.6 "replay as fast as possible" option, Figure 9).
@@ -98,16 +110,16 @@ struct EngineConfig {
   /// how sources are spread over queriers or controllers. nullopt = clean
   /// link.
   std::optional<fault::FaultSpec> fault;
-  /// Self-healing layer: a supervisor thread watches querier/distributor
-  /// heartbeats and recovers a stalled querier (reassigning its sources to
-  /// a sibling and resending its in-flight queries). Disabling supervision
-  /// also disables querier_stall fault injection (nothing would recover
-  /// the stalled thread).
+  /// Self-healing layer: a supervisor thread watches querier heartbeats
+  /// and recovers a stalled querier (reassigning its sources to a sibling
+  /// in its distributor group and resending its in-flight queries).
+  /// Disabling supervision also disables querier_stall fault injection
+  /// (nothing would recover the stalled thread).
   bool supervise = true;
   TimeNs heartbeat_timeout = 5 * kSecond;
   TimeNs supervision_interval = 500 * kMilli;
-  /// Overload shedding for the controller→distributor→querier queues:
-  /// how long a push may wait before the policy kicks in.
+  /// Overload shedding for the controller→querier queues: how long a push
+  /// may wait before the policy kicks in.
   OverloadPolicy overload = OverloadPolicy::Block;
   TimeNs shed_grace = 5 * kMilli;
   /// Deterministic checkpoint/resume: when `checkpoint_path` is set, the
@@ -187,8 +199,8 @@ struct EngineReport {
   /// Queries that never produced an answer (timed out, errored, abandoned).
   uint64_t lost() const { return lifecycle.expired; }
 
-  /// Fold another report (one querier's, one distributor's, one
-  /// controller's) into this one: counters sum, histograms merge, send
+  /// Fold another report (one querier's, one distributor group's, one
+  /// worker's) into this one: counters sum, histograms merge, send
   /// records append, and replay_start/replay_end widen to cover both.
   void merge_from(EngineReport&& other);
 };
@@ -201,26 +213,19 @@ class QueryEngine {
   /// Replay a time-ordered query trace; blocks until every query is sent
   /// and responses have drained (or the grace period lapses).
   ///
-  /// `shared_clock` lets several engines replay slices of one trace on a
-  /// common timeline (§2.6 "split input stream to feed multiple
-  /// controllers"); it must already be started. Pass nullptr to let this
-  /// engine latch its own synchronization point.
+  /// `shared_clock` lets several processes replay slices of one trace on a
+  /// common timeline (a `--workers` worker latches the fleet's barrier
+  /// start); it must already be started. Pass nullptr to let this engine
+  /// latch its own synchronization point.
   Result<EngineReport> replay(const std::vector<trace::TraceRecord>& trace,
                               const ReplayClock* shared_clock = nullptr);
 
  private:
   class Querier;
   class Distributor;
-
-  /// The shards > 1 path: partition by source, one sub-engine per shard on
-  /// its own thread, one shared clock, merge-after-join.
-  Result<EngineReport> replay_sharded(const std::vector<trace::TraceRecord>& trace,
-                                      const ReplayClock* shared_clock);
+  struct Shard;
 
   EngineConfig config_;
-  // Same-source stickiness: controller level (source -> distributor).
-  std::unordered_map<IpAddr, size_t, IpAddrHash> source_to_distributor_;
-  size_t next_distributor_ = 0;
 };
 
 }  // namespace ldp::replay

@@ -1,10 +1,10 @@
-// Supervision for the self-healing replay pipeline: queriers and
-// distributors publish heartbeats; a supervisor thread watches them and,
-// when one goes stale past a timeout without the worker having declared
-// itself done, fires a recovery callback exactly once (the distributor
-// reassigns the dead querier's sources to a sibling and re-routes its
-// in-flight work). The same thread doubles as the checkpoint ticker so a
-// replay needs at most one background thread for both jobs.
+// Supervision for the self-healing replay pipeline: queriers publish
+// heartbeats; one supervisor thread per engine watches them and, when one
+// goes stale past a timeout without the worker having declared itself
+// done, fires a recovery callback exactly once (the querier's distributor
+// group reassigns its sources to a sibling and re-routes its in-flight
+// work). The same thread doubles as the checkpoint ticker so a replay
+// needs at most one background thread for both jobs.
 //
 // The supervisor never touches worker state itself — recovery callbacks
 // own the handshake with the failed worker (see Querier park/reap in

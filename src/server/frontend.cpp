@@ -1,6 +1,7 @@
 #include "server/frontend.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <sstream>
 
 #include "util/log.hpp"
@@ -75,16 +76,24 @@ Result<std::unique_ptr<ServerFrontend>> ServerFrontend::start(net::EventLoop& lo
     fe->udp_fault_ = std::make_unique<fault::FaultStream>(*config.fault, "srv:udp");
     fe->tcp_fault_ = std::make_unique<fault::FaultStream>(*config.fault, "srv:tcp");
   }
-  auto udp_sock = LDP_TRY(net::UdpSocket::bind(config.bind, config.reuse_port));
-  fe->udp_.emplace(std::move(udp_sock), fe->udp_fault_.get(), &loop);
+  // TCP listens on the port UDP got (so port 0 requests line up). Some
+  // TCP client connection may already hold that port number; when any port
+  // will do, try another pair instead of failing.
+  for (int attempt = 1;; ++attempt) {
+    auto udp_sock = LDP_TRY(net::UdpSocket::bind(config.bind, config.reuse_port));
+    Endpoint tcp_bind = LDP_TRY(udp_sock.local_endpoint());
+    auto listener = net::TcpListener::listen(tcp_bind, 512, config.reuse_port);
+    if (!listener.ok() && listener.error().sys_errno == EADDRINUSE &&
+        config.bind.port == 0 && attempt < 8)
+      continue;
+    if (!listener.ok()) return listener.error();
+    fe->endpoint_ = tcp_bind;
+    fe->udp_.emplace(std::move(udp_sock), fe->udp_fault_.get(), &loop);
+    fe->listener_ = std::move(*listener);
+    break;
+  }
   if (config.response_cache_entries > 0)
     fe->cache_.emplace(config.response_cache_entries);
-  fe->endpoint_ = LDP_TRY(fe->udp_->local_endpoint());
-  // TCP listens on the port UDP got (so port 0 requests line up).
-  Endpoint tcp_bind = config.bind;
-  tcp_bind.port = fe->endpoint_.port;
-  fe->listener_ =
-      LDP_TRY(net::TcpListener::listen(tcp_bind, 512, config.reuse_port));
 
   ServerFrontend* raw = fe.get();
   LDP_TRY_VOID(loop.add_fd(fe->udp_->fd(), net::Interest{true, false},

@@ -1,10 +1,10 @@
 // Tests for the paper's stated extension/future-work features implemented
 // here: zone partitioning across server shards (§3), CDN-style answer
-// rotation (§2.3), live mutation during replay (§2.2), multi-controller
-// input splitting (§2.6), and DoS attack workloads (§1).
+// rotation (§2.3), live mutation during replay (§2.2), sharded input
+// splitting (§2.6), and DoS attack workloads (§1).
 #include <gtest/gtest.h>
 
-#include "replay/multi.hpp"
+#include "replay/engine.hpp"
 #include "server/background.hpp"
 #include "server/shard.hpp"
 #include "simnet/replay_sim.hpp"
@@ -277,7 +277,7 @@ www IN A 192.0.2.80
   EXPECT_GT(s.stats().nxdomain.load(), result.queries * 95 / 100);
 }
 
-// --- live mutation & multi-controller replay ----------------------------------
+// --- live mutation & sharded replay ------------------------------------------
 
 server::AuthServer wildcard_server() {
   server::AuthServer s;
@@ -326,7 +326,9 @@ TEST(LiveMutation, AppliedDuringReplay) {
   EXPECT_EQ(report->responses_received, report->queries_sent);
 }
 
-TEST(MultiController, SplitsAndMergesFaithfully) {
+// §2.6 input splitting: three shards replay slices of one trace, fed by
+// one controller on one shared clock, and the merged report covers it all.
+TEST(ShardedReplay, SplitsAndMergesFaithfully) {
   auto bg = server::BackgroundServer::start(wildcard_server());
   ASSERT_TRUE(bg.ok());
 
@@ -336,10 +338,12 @@ TEST(MultiController, SplitsAndMergesFaithfully) {
   spec.client_count = 40;
   auto trace = synth::make_fixed_trace(spec);
 
-  replay::MultiControllerConfig cfg;
-  cfg.engine.server = (*bg)->endpoint();
-  cfg.controllers = 3;
-  auto report = replay::replay_multi_controller(trace, cfg);
+  replay::EngineConfig cfg;
+  cfg.server = (*bg)->endpoint();
+  cfg.shards = 3;
+  cfg.distributors = 1;
+  cfg.queriers_per_distributor = 1;
+  auto report = replay::QueryEngine(cfg).replay(trace);
   ASSERT_TRUE(report.ok()) << report.error().message;
   EXPECT_EQ(report->queries_sent, trace.size());
   // Tolerate rare UDP loss when the whole suite contends for one core.
@@ -352,12 +356,6 @@ TEST(MultiController, SplitsAndMergesFaithfully) {
     err_ms.add(ns_to_ms((sr.send_time - report->replay_start) - (sr.trace_time - t0)));
   EXPECT_GE(err_ms.summary().min, -1.0);
   EXPECT_LT(err_ms.summary().median, 200.0);
-}
-
-TEST(MultiController, EmptyTraceRejected) {
-  replay::MultiControllerConfig cfg;
-  cfg.engine.server = Endpoint{IpAddr{Ip4{127, 0, 0, 1}}, 5300};
-  EXPECT_FALSE(replay::replay_multi_controller({}, cfg).ok());
 }
 
 }  // namespace

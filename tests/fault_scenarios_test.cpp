@@ -1,6 +1,6 @@
 // Fault-scenario regression suite: fixed-seed impairment scenarios driven
-// end-to-end through the real-socket replay engine (UDP and TCP), the
-// multi-controller splitter, the proxy pipeline, the ShardedMetaServer
+// end-to-end through the real-socket replay engine (UDP and TCP, one shard
+// and four), the proxy pipeline, the ShardedMetaServer
 // routing path, and the simnet discrete-event runtime — asserting exact,
 // reproducible impairment and lifecycle counter outcomes.
 //
@@ -15,7 +15,7 @@
 
 #include "fault/fault.hpp"
 #include "proxy/pipeline.hpp"
-#include "replay/multi.hpp"
+#include "replay/engine.hpp"
 #include "server/background.hpp"
 #include "server/shard.hpp"
 #include "simnet/replay_sim.hpp"
@@ -312,8 +312,9 @@ TEST(FaultScenarios, SlowClientKnobLeavesUdpUntouched) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-controller equivalence: per-source outcomes are a function of the
-// seed alone, not of how sources are partitioned across controllers.
+// Shard-count equivalence: per-source outcomes are a function of the seed
+// alone, not of how sources are partitioned across shards — with the
+// retry budget on, so retransmits draw from the same per-source streams.
 // ---------------------------------------------------------------------------
 
 struct PerSourceTotals {
@@ -336,25 +337,25 @@ std::map<std::string, PerSourceTotals> per_source(const replay::EngineReport& r)
   return out;
 }
 
-TEST(FaultScenarios, MultiControllerCountsIndependentOfSplit) {
+TEST(FaultScenarios, ShardedCountsIndependentOfSplit) {
   auto bg = server::BackgroundServer::start(wildcard_server());
   ASSERT_TRUE(bg.ok());
   auto trace = fixed_trace(200, 8);
   fault::FaultSpec spec = spec_of("loss:0.2,seed:11");
 
-  auto run = [&](size_t controllers) {
-    replay::MultiControllerConfig cfg;
-    cfg.engine.server = (*bg)->endpoint();
-    cfg.engine.timed = false;
-    cfg.engine.distributors = 1;
-    cfg.engine.queriers_per_distributor = 1;
-    cfg.engine.max_retries = 2;
-    cfg.engine.query_timeout = 300 * kMilli;
-    cfg.engine.retry_backoff_cap = 600 * kMilli;
-    cfg.engine.drain_grace = 10 * kSecond;
-    cfg.engine.fault = spec;
-    cfg.controllers = controllers;
-    return replay::replay_multi_controller(trace, cfg);
+  auto run = [&](size_t shards) {
+    replay::EngineConfig cfg;
+    cfg.server = (*bg)->endpoint();
+    cfg.timed = false;
+    cfg.shards = shards;
+    cfg.distributors = 1;
+    cfg.queriers_per_distributor = 1;
+    cfg.max_retries = 2;
+    cfg.query_timeout = 300 * kMilli;
+    cfg.retry_backoff_cap = 600 * kMilli;
+    cfg.drain_grace = 10 * kSecond;
+    cfg.fault = spec;
+    return replay::QueryEngine(cfg).replay(trace);
   };
 
   auto one = run(1);

@@ -164,6 +164,27 @@ TEST(AddressingT, NonV4EndpointsAreErrorsNotZeroAddress) {
   EXPECT_FALSE(sock->send_batch(dgs).ok());
 }
 
+// Every replay source binds its own 127.0.0.1:0 socket. With SO_REUSEADDR
+// on such binds, Linux may hand two sockets the same ephemeral port, and
+// the later one then receives the other's replies: a whole source's
+// answers vanished under parallel load. Ephemeral binds must get distinct
+// ports (800 binds met about a dozen repeats when the option was set).
+TEST(AddressingT, EphemeralUdpBindsNeverShareAPort) {
+  std::vector<net::UdpSocket> socks;
+  std::vector<uint16_t> ports;
+  for (int i = 0; i < 800; ++i) {
+    auto sock = net::UdpSocket::bind(kLoopback);
+    ASSERT_TRUE(sock.ok()) << sock.error().message;
+    auto local = sock->local_endpoint();
+    ASSERT_TRUE(local.ok());
+    ports.push_back(local->port);
+    socks.push_back(std::move(*sock));
+  }
+  std::sort(ports.begin(), ports.end());
+  EXPECT_EQ(std::adjacent_find(ports.begin(), ports.end()), ports.end())
+      << "two ephemeral UDP sockets share a port";
+}
+
 TEST(FramingT, OversizedTcpMessageRejectedNotTruncated) {
   auto listener = net::TcpListener::listen(kLoopback);
   ASSERT_TRUE(listener.ok());

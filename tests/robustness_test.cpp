@@ -11,10 +11,13 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 
 #include "replay/checkpoint.hpp"
+#include "replay/dist/protocol.hpp"
 #include "replay/engine.hpp"
 #include "replay/supervisor.hpp"
 #include "server/background.hpp"
@@ -358,6 +361,54 @@ TEST(SelfHealingT, StalledQuerierIsRecoveredWithNothingLost) {
     EXPECT_NE(sr.outcome, QueryOutcome::Pending);
   // The healthy majority of the replay still got answered.
   EXPECT_GT(report->responses_received, trace.size() / 2);
+}
+
+// Querier ids are numbered engine-wide, so querier_stall:0 wedges exactly
+// one querier however many shards there are, and no id is reused by a
+// second shard.
+TEST(SelfHealingT, StallWedgesExactlyOneQuerierAcrossShards) {
+  auto bg = server::BackgroundServer::start(wildcard_server());
+  ASSERT_TRUE(bg.ok()) << bg.error().message;
+
+  synth::FixedTraceSpec spec;
+  spec.interarrival_ns = 5 * kMilli;
+  spec.duration_ns = 2 * kSecond;  // 400 queries
+  spec.client_count = 10;
+  auto trace = synth::make_fixed_trace(spec);
+
+  EngineConfig cfg;
+  cfg.server = (*bg)->endpoint();
+  cfg.shards = 2;
+  cfg.distributors = 1;
+  cfg.queriers_per_distributor = 2;
+  cfg.supervise = true;
+  cfg.heartbeat_timeout = 300 * kMilli;
+  cfg.supervision_interval = 50 * kMilli;
+  cfg.drain_grace = kSecond;
+  fault::FaultSpec fs;
+  fs.stall_querier = 0;
+  fs.stall_after = 500 * kMilli;  // querier 0 sends for a while first
+  cfg.fault = fs;
+
+  auto report = QueryEngine(cfg).replay(trace);
+  ASSERT_TRUE(report.ok()) << report.error().message;
+
+  EXPECT_EQ(report->querier_failures, 1u);
+  EXPECT_GE(report->sources_reassigned, 1u);
+  EXPECT_EQ(report->queries_sent + report->shed_queries, trace.size());
+
+  // Every querier sent, under its own id, for sources of one shard only
+  // (the engine's shards are the slices partition_by_source computes).
+  auto slices = dist::partition_by_source(trace, cfg.shards);
+  std::map<std::string, size_t> shard_of;
+  for (size_t i = 0; i < slices.size(); ++i)
+    for (const auto& rec : slices[i]) shard_of[rec.src.addr.to_string()] = i;
+  std::map<uint32_t, std::set<size_t>> shards_of_querier;
+  for (const auto& sr : report->sends)
+    shards_of_querier[sr.querier].insert(shard_of.at(sr.source.to_string()));
+  EXPECT_EQ(shards_of_querier.size(), 4u);
+  for (const auto& [id, shards] : shards_of_querier)
+    EXPECT_EQ(shards.size(), 1u) << "querier " << id << " spans shards";
 }
 
 // Supervision off: the same stall spec is inert (nothing would recover the

@@ -11,6 +11,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <filesystem>
 #include <thread>
 
 #include "dns/message.hpp"
@@ -376,6 +379,56 @@ TEST(ShardedReplay, FixedSeedImpairmentsIdenticalAcrossShardCounts) {
   EXPECT_GT(one.impairments.duplicated, 0u);
   EXPECT_EQ(one.responses_received, trace.size());
   EXPECT_EQ(four.responses_received, trace.size());
+}
+
+size_t thread_count() {
+  auto it = std::filesystem::directory_iterator("/proc/self/task");
+  return static_cast<size_t>(std::distance(it, {}));
+}
+
+// The thread budget: one controller (the calling thread) feeds every
+// querier, so a supervised replay adds shards × distributors × queriers
+// querier threads and one supervisor — no per-shard controller, supervisor
+// or distributor threads.
+TEST(ShardedReplay, ThreadBudgetIsQueriersPlusOneSupervisor) {
+  auto bg = server::BackgroundServer::start(wildcard_server());
+  ASSERT_TRUE(bg.ok());
+
+  synth::FixedTraceSpec spec;
+  spec.interarrival_ns = kMilli;
+  spec.duration_ns = 300 * kMilli;
+  spec.client_count = 8;
+  auto trace = synth::make_fixed_trace(spec);
+
+  replay::EngineConfig cfg;
+  cfg.server = (*bg)->endpoint();
+  cfg.shards = 2;
+  cfg.distributors = 1;
+  cfg.queriers_per_distributor = 2;
+  cfg.supervise = true;
+
+  // The sampler counts itself in the baseline, so `peak - baseline` is
+  // exactly what the replay added.
+  std::atomic<size_t> baseline{0};
+  std::atomic<size_t> peak{0};
+  std::atomic<bool> stop{false};
+  std::thread sampler([&] {
+    baseline = thread_count();
+    while (!stop) {
+      peak = std::max(peak.load(), thread_count());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  while (baseline == 0) std::this_thread::yield();
+  auto report = replay::QueryEngine(cfg).replay(trace);
+  stop = true;
+  sampler.join();
+  ASSERT_TRUE(report.ok()) << report.error().message;
+  EXPECT_EQ(report->queries_sent, trace.size());
+
+  size_t added = peak - baseline;
+  EXPECT_LE(added, 4u + 1u) << "4 queriers + 1 supervisor allowed";
+  EXPECT_GE(added, 4u) << "the sampler missed the queriers";
 }
 
 // Live mutation happens once, on the controller thread, before the

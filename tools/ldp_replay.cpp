@@ -1,12 +1,17 @@
-// ldp-replay: the distributed query engine as a command-line tool.
+// ldp-replay: the query engine as a command-line tool.
 //
 //   ldp-replay [options] <trace.pcap|trace.txt|trace.ldpb> <server-ip> <port>
 //
+// One controller (this process's main thread) feeds every querier thread;
+// distributors and shards are groups of queriers, not threads. A run uses
+// shards × distributors × queriers querier threads.
+//
 //   --fast                 ignore trace timing, replay as fast as possible
-//   --distributors N       distribution fan-out (default 1)
-//   --queriers N           queriers per distributor (default 2)
-//   --shards N             run N source-partitioned worker pools on a
-//                          shared replay clock (multi-core replay; 1-64)
+//   --distributors N       querier groups per shard, each with its own
+//                          sticky source map and failover (default 1)
+//   --queriers N           querier threads per distributor (default 2)
+//   --shards N             split sources over N shards, each checkpointing
+//                          its own slice, on one replay clock (1-64)
 //   --workers N            distributed mode: fork N ldp-worker processes,
 //                          barrier-synchronize their start, supervise and
 //                          respawn crashed workers from their checkpoints
@@ -70,7 +75,10 @@ void usage(const char* argv0) {
                "          [--checkpoint FILE [--checkpoint-interval S] [--resume]]\n"
                "          [--overload block|drop-oldest|clamp] [--shed-grace MS]\n"
                "          [--no-supervise] [--heartbeat-timeout S]\n"
-               "          <trace.{pcap,txt,ldpb}> <server-ip> <port>\n",
+               "          <trace.{pcap,txt,ldpb}> <server-ip> <port>\n"
+               "  one controller feeds shards x distributors x queriers querier\n"
+               "  threads; a distributor is a group of queriers, a shard is the\n"
+               "  groups that checkpoint to one <file>.shardN\n",
                argv0);
 }
 
@@ -289,7 +297,7 @@ int main(int argc, char** argv) {
     }
   }
   if (cfg.shards > 1)
-    std::fprintf(stderr, "shards: %zu source-partitioned worker pools\n",
+    std::fprintf(stderr, "shards: %zu source-partitioned querier pools\n",
                  cfg.shards);
   if (workers > 0)
     std::fprintf(stderr, "workers: %zu replay processes\n", workers);
