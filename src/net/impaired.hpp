@@ -53,7 +53,8 @@ class ImpairedUdpSocket {
   /// Receive passthrough (impairment is egress-side).
   Result<std::optional<UdpSocket::Datagram>> recv() { return sock_.recv(); }
 
-  /// Batched receive passthrough; views follow UdpSocket::recv_batch rules.
+  /// Batched receive passthrough; views follow UdpSocket::recv_batch rules
+  /// (they alias the calling thread's arena until its next recv_batch).
   Result<std::span<const UdpSocket::RecvView>> recv_batch() {
     return sock_.recv_batch();
   }

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 
 namespace ldp::net {
 
@@ -224,17 +225,18 @@ Result<size_t> UdpSocket::send_batch(std::span<const OutDatagram> dgs) {
 }
 
 Result<std::span<const UdpSocket::RecvView>> UdpSocket::recv_batch() {
-  if (recv_arena_.empty()) {
-    recv_arena_.resize(kBatchSize * kRecvSlotBytes);
-    recv_views_.resize(kBatchSize);
-  }
+  // One arena per thread, not per socket: a replay binds a socket per trace
+  // source, so per-socket memory would grow with the source count. Allocated
+  // without zero-filling, so only pages that datagrams land in are touched.
+  thread_local std::unique_ptr<uint8_t[]> arena(new uint8_t[kBatchSize * kRecvSlotBytes]);
+  thread_local RecvView views[kBatchSize];
   mmsghdr msgs[kBatchSize];
   iovec iovs[kBatchSize];
   sockaddr_in addrs[kBatchSize];
   std::memset(msgs, 0, sizeof(msgs));
   std::memset(addrs, 0, sizeof(addrs));
   for (size_t i = 0; i < kBatchSize; ++i) {
-    iovs[i].iov_base = recv_arena_.data() + i * kRecvSlotBytes;
+    iovs[i].iov_base = arena.get() + i * kRecvSlotBytes;
     iovs[i].iov_len = kRecvSlotBytes;
     msgs[i].msg_hdr.msg_name = &addrs[i];
     msgs[i].msg_hdr.msg_namelen = sizeof(addrs[i]);
@@ -255,12 +257,12 @@ Result<std::span<const UdpSocket::RecvView>> UdpSocket::recv_batch() {
   g_io.datagrams_received.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
   t_io.datagrams_received += static_cast<uint64_t>(n);
   for (int i = 0; i < n; ++i) {
-    recv_views_[static_cast<size_t>(i)] = RecvView{
+    views[i] = RecvView{
         from_sockaddr(addrs[i]),
-        std::span<const uint8_t>(recv_arena_.data() + static_cast<size_t>(i) * kRecvSlotBytes,
+        std::span<const uint8_t>(arena.get() + static_cast<size_t>(i) * kRecvSlotBytes,
                                  msgs[i].msg_len)};
   }
-  return std::span<const RecvView>(recv_views_.data(), static_cast<size_t>(n));
+  return std::span<const RecvView>(views, static_cast<size_t>(n));
 }
 
 Result<TcpStream> TcpStream::connect(const Endpoint& remote) {

@@ -99,7 +99,7 @@ class UdpSocket {
   /// Datagrams per mmsg syscall. Send batches larger than this are chunked
   /// internally; recv_batch returns at most this many views per call.
   static constexpr size_t kBatchSize = 16;
-  /// Per-slot capacity of the recv arena (max UDP payload).
+  /// Per-slot capacity of the per-thread recv arena (max UDP payload).
   static constexpr size_t kRecvSlotBytes = 65536;
 
   struct OutDatagram {
@@ -118,22 +118,20 @@ class UdpSocket {
 
   struct RecvView {
     Endpoint from;
-    std::span<const uint8_t> payload;  ///< view into the socket's recv arena
+    std::span<const uint8_t> payload;  ///< view into the thread's recv arena
   };
 
-  /// Receive up to kBatchSize datagrams in one recvmmsg into a reusable
-  /// per-socket arena — no per-datagram allocation or copy. The returned
-  /// views stay valid until the next recv_batch() call on this socket. An
-  /// empty span means the socket would block.
+  /// Receive up to kBatchSize datagrams in one recvmmsg into the calling
+  /// thread's reusable arena (kBatchSize × kRecvSlotBytes, shared by every
+  /// socket that thread drains) — no per-datagram allocation or copy. The
+  /// returned views stay valid until the next recv_batch() call on this
+  /// thread, on any socket: consume or copy them before draining another.
+  /// An empty span means the socket would block.
   Result<std::span<const RecvView>> recv_batch();
 
  private:
   explicit UdpSocket(Fd fd) : fd_(std::move(fd)) {}
   Fd fd_;
-  // recv_batch arena, allocated lazily on first use (~1 MiB) and reused for
-  // the socket's lifetime. The view array is rebuilt each call.
-  std::vector<uint8_t> recv_arena_;
-  std::vector<RecvView> recv_views_;
 };
 
 /// A connected TCP stream carrying length-framed DNS messages.

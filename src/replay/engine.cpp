@@ -203,6 +203,7 @@ class QueryEngine::Querier {
       us->stage.clear();
     }
     staged_count_ = 0;
+    staged_socks_.clear();
     for (auto& [source, conn] : tcp_conns_)
       for (auto& pq : conn->pending.drain()) out.pending.push_back(std::move(pq));
     for (auto& [token, rec] : deferred_records_)
@@ -259,8 +260,6 @@ class QueryEngine::Querier {
     // Batched-send staging: queries accumulated during one poll round,
     // flushed FIFO with one sendmmsg by the loop's flush hook.
     std::vector<StagedSend> stage;
-    std::vector<net::UdpSocket::OutDatagram> stage_dgs;  // flush scratch
-    std::vector<uint8_t> wire_flags;                     // flush scratch
   };
 
   struct TcpConn {
@@ -617,6 +616,7 @@ class QueryEngine::Querier {
   /// reports identical counters in both modes.
   void send_udp(UdpSock& us, StagedSend st) {
     if (config_.batched_io) {
+      if (us.stage.empty()) staged_socks_.push_back(&us);
       us.stage.push_back(std::move(st));
       ++staged_count_;
       return;
@@ -631,32 +631,37 @@ class QueryEngine::Querier {
 
   /// Flush-hook body: one sendmmsg per socket covers everything staged
   /// during this poll round (the hook runs after due timers and before the
-  /// loop blocks, so no send ever sits across an epoll_wait).
+  /// loop blocks, so no send ever sits across an epoll_wait). Only the
+  /// sockets that staged a send this round are visited, so the cost tracks
+  /// the sends, not the number of trace sources.
   void flush_all_udp() {
     if (staged_count_ == 0) return;
-    for (auto& [source, us] : udp_socks_) flush_udp(*us);
+    for (UdpSock* us : staged_socks_) flush_udp(*us);
+    staged_socks_.clear();
     maybe_finish();
   }
 
   void flush_udp(UdpSock& us) {
-    if (us.stage.empty()) return;
-    std::vector<StagedSend> batch;
+    // Swap through querier-owned scratch so neither the stage nor the
+    // batch gives up its capacity: a sending socket allocates nothing.
+    std::vector<StagedSend>& batch = flush_batch_;
     batch.swap(us.stage);
     staged_count_ -= batch.size();
-    us.stage_dgs.clear();
+    flush_dgs_.clear();
     for (const auto& st : batch)
-      us.stage_dgs.push_back({config_.server, st.pq.payload});
-    auto res = us.sock->send_batch(us.stage_dgs, us.wire_flags);
+      flush_dgs_.push_back({config_.server, st.pq.payload});
+    auto res = us.sock->send_batch(flush_dgs_, flush_wire_);
     TimeNs now = mono_now_ns();
-    if (!res.ok()) {
+    if (res.ok()) {
+      // FIFO resolution preserves the scalar path's accounting order; a
+      // wire flag of 0 is the batched spelling of send_to() == false
+      // (kernel buffer full: deferred, retried by the lifecycle timer).
+      for (size_t i = 0; i < batch.size(); ++i)
+        finish_udp_send(us, std::move(batch[i]), flush_wire_[i] != 0, now);
+    } else {
       for (auto& st : batch) fail_staged(std::move(st));
-      return;
     }
-    // FIFO resolution preserves the scalar path's accounting order; a
-    // wire_flags entry of 0 is the batched spelling of send_to() == false
-    // (kernel buffer full: deferred, retried by the lifecycle timer).
-    for (size_t i = 0; i < batch.size(); ++i)
-      finish_udp_send(us, std::move(batch[i]), us.wire_flags[i] != 0, now);
+    batch.clear();
   }
 
   /// A send that failed outright (no socket, or a hard send error).
@@ -792,9 +797,9 @@ class QueryEngine::Querier {
 
   void on_udp_readable(UdpSock* us) {
     if (config_.batched_io) {
-      // Drain with recvmmsg: the views alias the socket's receive arena,
-      // valid until the next recv_batch call — match_response consumes
-      // them before then.
+      // Drain with recvmmsg: the views alias this thread's receive arena,
+      // valid until the next recv_batch call on this thread (any socket) —
+      // match_response consumes them before then.
       while (true) {
         auto batch = us->sock->recv_batch();
         if (!batch.ok()) {
@@ -1120,6 +1125,13 @@ class QueryEngine::Querier {
   uint64_t next_key_ = 1;
   int64_t in_flight_ = 0;
   size_t staged_count_ = 0;  ///< UDP sends awaiting the sendmmsg flush
+  // Sockets whose stage went from empty to non-empty since the last flush,
+  // in first-staged order (each at most once).
+  std::vector<UdpSock*> staged_socks_;
+  // flush_udp scratch, reused across flushes.
+  std::vector<StagedSend> flush_batch_;
+  std::vector<net::UdpSocket::OutDatagram> flush_dgs_;
+  std::vector<uint8_t> flush_wire_;
   size_t pending_timers_ = 0;
   bool input_done_ = false;
   bool stopping_ = false;

@@ -181,8 +181,8 @@ void ServerFrontend::on_udp_readable() {
   }
   // Batched path: recvmmsg the queries, answer into the reply arena, and
   // flush each inbound batch's replies with one sendmmsg. The flush must
-  // happen per batch — the next recv_batch call recycles the arena slots
-  // the query views point into.
+  // happen per batch — the next recv_batch call on this thread recycles the
+  // per-thread arena slots the query views point into.
   while (true) {
     auto batch = udp_->recv_batch();
     if (!batch.ok() || batch->empty()) return;

@@ -1,15 +1,19 @@
 // UDP hot-path regression suite (`ctest -L hotpath` / check_hotpath):
 // sendmmsg/recvmmsg batching (chunking, partial-batch prefixes, would-block
-// handling), the addressing and TCP-framing fixes that rode along, seeded
-// impairment-draw equivalence between the scalar and batched send paths,
-// scalar-vs-batched replay-engine equivalence under a fixed-seed fault
-// scenario, the response template cache (byte-identical patched replies,
-// DO-bit keying, revision invalidation, LRU bounds), and the in-place name
-// decoder against its hostile-input contract.
+// handling, the per-thread receive arena), the addressing and TCP-framing
+// fixes that rode along, seeded impairment-draw equivalence between the
+// scalar and batched send paths, scalar-vs-batched replay-engine equivalence
+// under a fixed-seed fault scenario at few and many sources, the response
+// template cache (byte-identical patched replies, DO-bit keying, revision
+// invalidation, LRU bounds), and the in-place name decoder against its
+// hostile-input contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <fstream>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -148,6 +152,89 @@ TEST(UdpBatchT, MidBatchAddressingErrorYieldsCleanPrefix) {
   EXPECT_EQ(*first, 1u);
   auto retry = tx->send_batch(std::span(dgs).subspan(1));
   EXPECT_FALSE(retry.ok());
+}
+
+// Resident set size of this process in KiB, from /proc/self/status.
+long vm_rss_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  return -1;
+}
+
+// A replay binds one socket per trace source. The recv arena belongs to
+// the draining thread, so each further socket drained costs no arena (a
+// 1 MiB per-socket arena would grow RSS by about 64 MiB here).
+TEST(UdpBatchT, RecvArenaIsPerThreadNotPerSocket) {
+  constexpr size_t kSockets = 64;
+  auto tx = net::UdpSocket::bind(kLoopback);
+  ASSERT_TRUE(tx.ok());
+  std::vector<net::UdpSocket> rxs;
+  for (size_t i = 0; i < kSockets; ++i) {
+    auto rx = net::UdpSocket::bind(kLoopback);
+    ASSERT_TRUE(rx.ok()) << rx.error().message;
+    rxs.push_back(std::move(*rx));
+  }
+  long rss_before = vm_rss_kb();
+  ASSERT_GT(rss_before, 0);
+  for (size_t i = 0; i < kSockets; ++i) {
+    std::vector<uint8_t> payload = make_payload(i);
+    auto sent = tx->send_to(*rxs[i].local_endpoint(), payload);
+    ASSERT_TRUE(sent.ok() && *sent);
+    auto got = drain_udp(rxs[i], 20 * kMilli);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0], payload);
+  }
+  long grown_kb = vm_rss_kb() - rss_before;
+  EXPECT_LT(grown_kb, 16 * 1024) << "RSS grew " << grown_kb << " KiB for "
+                                 << kSockets << " drained sockets";
+}
+
+// Two threads draining their own sockets at once each see exactly their
+// own datagrams: one thread's recv_batch never reuses the other's arena.
+TEST(UdpBatchT, ConcurrentDrainsKeepTheirOwnPayloads) {
+  constexpr size_t kPerThread = 64;
+  auto tx = net::UdpSocket::bind(kLoopback);
+  ASSERT_TRUE(tx.ok());
+  std::vector<net::UdpSocket> rxs;
+  std::vector<std::vector<std::vector<uint8_t>>> want(2);
+  for (size_t t = 0; t < 2; ++t) {
+    auto rx = net::UdpSocket::bind(kLoopback);
+    ASSERT_TRUE(rx.ok());
+    rxs.push_back(std::move(*rx));
+    for (size_t i = 0; i < kPerThread; ++i)
+      want[t].push_back(make_payload(t * 1000 + i, 32 + t));
+  }
+
+  std::atomic<int> ready{0};
+  std::vector<std::vector<std::vector<uint8_t>>> got(2);
+  auto drain = [&](size_t t) {
+    ready.fetch_add(1);
+    TimeNs deadline = mono_now_ns() + 5 * kSecond;
+    while (got[t].size() < kPerThread && mono_now_ns() < deadline) {
+      auto batch = rxs[t].recv_batch();
+      if (!batch.ok()) return;
+      if (batch->empty()) std::this_thread::yield();
+      for (const auto& view : *batch)
+        got[t].emplace_back(view.payload.begin(), view.payload.end());
+    }
+  };
+  std::thread a(drain, 0), b(drain, 1);
+  while (ready.load() < 2) std::this_thread::yield();
+  // Interleave the sends so both threads drain at the same time.
+  for (size_t i = 0; i < kPerThread; ++i)
+    for (size_t t = 0; t < 2; ++t) {
+      auto sent = tx->send_to(*rxs[t].local_endpoint(), want[t][i]);
+      EXPECT_TRUE(sent.ok() && *sent);
+    }
+  a.join();
+  b.join();
+  for (size_t t = 0; t < 2; ++t) {
+    std::sort(got[t].begin(), got[t].end());
+    std::sort(want[t].begin(), want[t].end());
+    EXPECT_EQ(got[t], want[t]) << "thread " << t;
+  }
 }
 
 TEST(AddressingT, NonV4EndpointsAreErrorsNotZeroAddress) {
@@ -314,14 +401,16 @@ ns1 IN A 192.0.2.1
 }
 
 replay::EngineReport run_replay(bool batched_io,
-                                const std::optional<fault::FaultSpec>& fault) {
+                                const std::optional<fault::FaultSpec>& fault,
+                                size_t clients = 8,
+                                TimeNs timeout = 100 * kMilli) {
   auto bg = server::BackgroundServer::start(wildcard_server());
   EXPECT_TRUE(bg.ok());
 
   synth::FixedTraceSpec spec;
   spec.interarrival_ns = kMilli;
   spec.duration_ns = 200 * kMilli;  // 200 queries
-  spec.client_count = 8;
+  spec.client_count = clients;
   auto trace = synth::make_fixed_trace(spec);
 
   replay::EngineConfig cfg;
@@ -329,10 +418,10 @@ replay::EngineReport run_replay(bool batched_io,
   cfg.timed = false;
   cfg.batched_io = batched_io;
   cfg.fault = fault;
-  cfg.query_timeout = 100 * kMilli;
-  cfg.retry_backoff_cap = 200 * kMilli;
+  cfg.query_timeout = timeout;
+  cfg.retry_backoff_cap = 2 * timeout;
   cfg.max_retries = 1;
-  cfg.drain_grace = 500 * kMilli;
+  cfg.drain_grace = 5 * timeout;
   replay::QueryEngine engine(cfg);
   auto report = engine.replay(trace);
   EXPECT_TRUE(report.ok());
@@ -360,18 +449,30 @@ TEST(EngineEquivT, FixedSeedFaultCountersMatchScalarPath) {
   spec.corrupt = 0.1;
   spec.seed = 7;
 
-  auto scalar = run_replay(/*batched_io=*/false, spec);
-  auto batched = run_replay(/*batched_io=*/true, spec);
+  // 256 clients: a source per query, so most poll rounds stage sends on
+  // several sockets and the flush walks a many-entry staged list. Counters
+  // match only if no answer outlives its timeout; the 200-query burst from
+  // 256 fresh sockets queues longer at the server (answers near 160 ms
+  // under ThreadSanitizer), so that run gets a longer timeout.
+  struct Case {
+    size_t clients;
+    TimeNs timeout;
+  };
+  for (Case c : {Case{8, 100 * kMilli}, Case{256, 400 * kMilli}}) {
+    SCOPED_TRACE("clients=" + std::to_string(c.clients));
+    auto scalar = run_replay(/*batched_io=*/false, spec, c.clients, c.timeout);
+    auto batched = run_replay(/*batched_io=*/true, spec, c.clients, c.timeout);
 
-  // The acceptance bar: per-source draw schedules are identical, so the
-  // merged impairment counters agree exactly.
-  EXPECT_EQ(scalar.impairments, batched.impairments);
-  EXPECT_EQ(scalar.queries_sent, batched.queries_sent);
-  EXPECT_EQ(scalar.sends.size(), batched.sends.size());
-  EXPECT_EQ(scalar.responses_received, batched.responses_received);
-  EXPECT_EQ(scalar.lifecycle.retries, batched.lifecycle.retries);
-  EXPECT_EQ(scalar.lifecycle.expired, batched.lifecycle.expired);
-  EXPECT_GT(batched.impairments.dropped, 0u);  // the scenario actually bit
+    // The acceptance bar: per-source draw schedules are identical, so the
+    // merged impairment counters agree exactly.
+    EXPECT_EQ(scalar.impairments, batched.impairments);
+    EXPECT_EQ(scalar.queries_sent, batched.queries_sent);
+    EXPECT_EQ(scalar.sends.size(), batched.sends.size());
+    EXPECT_EQ(scalar.responses_received, batched.responses_received);
+    EXPECT_EQ(scalar.lifecycle.retries, batched.lifecycle.retries);
+    EXPECT_EQ(scalar.lifecycle.expired, batched.lifecycle.expired);
+    EXPECT_GT(batched.impairments.dropped, 0u);  // the scenario actually bit
+  }
 }
 
 // ---------------------------------------------------------------------------
