@@ -87,9 +87,14 @@ void EventLoop::arm_timerfd() {
   // Arm to the earliest live deadline (lazily skipping cancelled heap nodes).
   while (!timers_.empty() && !timer_callbacks_.contains(timers_.top().id))
     timers_.pop();
+  TimeNs deadline = timers_.empty() ? 0 : timers_.top().deadline;
+  // Unchanged head, no syscall: the one-shot timerfd still needs re-arming
+  // after it fires, but fire_due_timers pops every passed deadline, so after
+  // a fire the head always differs from what was armed.
+  if (deadline == armed_deadline_) return;
+  armed_deadline_ = deadline;
   itimerspec spec{};
-  if (!timers_.empty()) {
-    TimeNs deadline = timers_.top().deadline;
+  if (deadline != 0) {
     if (deadline <= mono_now_ns()) deadline = mono_now_ns() + 1;  // fire asap
     spec.it_value.tv_sec = deadline / kSecond;
     spec.it_value.tv_nsec = deadline % kSecond;

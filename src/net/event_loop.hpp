@@ -123,6 +123,8 @@ class EventLoop {
   // lazily when it surfaces.
   std::unordered_map<TimerId, TimerCallback> timer_callbacks_;
   std::vector<std::function<void()>> flush_hooks_;
+  // Heap head the timerfd was last armed for; 0 = disarmed.
+  TimeNs armed_deadline_ = 0;
   TimerId next_timer_id_ = 1;
   std::atomic<bool> stopped_{false};
 };

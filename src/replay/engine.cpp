@@ -8,6 +8,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <map>
 #include <mutex>
 
@@ -25,6 +26,22 @@ constexpr TimeNs kStartupLead = 100 * kMilli;  // let worker threads spin up
 // Resend delay for queries that never reached the wire (kernel buffer
 // full): short, so the backlog clears as soon as the kernel drains.
 constexpr TimeNs kDeferredSendDelay = 10 * kMilli;
+// Pause before a lost TCP connection's replacement sends, doubling per
+// reconnect, so the budget outlasts a short outage instead of burning out
+// in microseconds against a link that is still down.
+constexpr TimeNs kReconnectPause = 10 * kMilli;
+
+uint16_t dns_id_of(std::span<const uint8_t> wire) {
+  return wire.size() >= 2 ? static_cast<uint16_t>(wire[0] << 8 | wire[1]) : 0;
+}
+
+/// Give a send that is still pending its terminal outcome, counted expired
+/// in `report`.
+void expire_pending(SendRecord& sr, QueryOutcome outcome, EngineReport& report) {
+  if (sr.outcome != QueryOutcome::Pending) return;
+  sr.outcome = outcome;
+  ++report.lifecycle.expired;
+}
 }  // namespace
 
 void EngineReport::merge_from(EngineReport&& other) {
@@ -81,6 +98,11 @@ struct QuerierSnapshot {
 
 // ---------------------------------------------------------------------------
 // Querier: one thread, one event loop, sockets pinned per query source.
+// The controller pushes records onto its bounded input queue and writes
+// its eventfd. Timed records not yet due wait in one deadline-ordered
+// schedule behind a single timer armed at its head, which sends everything
+// due and re-arms for the new head.
+//
 // Every in-flight query lives in exactly one PendingTable (per UDP socket /
 // per TCP connection) from send until a terminal outcome: answered,
 // timed-out after the retry budget, or errored. A single lifecycle timer,
@@ -91,7 +113,7 @@ struct QuerierSnapshot {
 // Supervision: the thread beats a heartbeat from an event-loop timer. A
 // querier_stall fault injection parks the thread (cooperatively wedged: no
 // beats, no processing); the supervisor then reaps it — harvesting its
-// queue, deferred records and pending tables while the thread is provably
+// queue, schedule and pending tables while the thread is provably
 // quiescent — and releases it. In-flight queries salvaged this way carry a
 // pointer to their original send record (extern_rec), so the sibling that
 // adopts them resolves outcomes in the failed querier's report; the
@@ -137,14 +159,7 @@ class QueryEngine::Querier {
   /// so the caller can grave-yard them with accounting instead of losing
   /// them in a never-drained inbox.
   bool adopt(std::vector<PendingQuery>& orphans) {
-    {
-      std::lock_guard lock(adopt_mu_);
-      if (adopt_closed_) return false;
-      for (auto& pq : orphans) adopt_inbox_.push_back(std::move(pq));
-    }
-    orphans.clear();
-    wake();
-    return true;
+    return hand_over(adopt_inbox_, orphans);
   }
 
   /// Hand over trace records a failed sibling never sent. This bypasses the
@@ -154,14 +169,7 @@ class QueryEngine::Querier {
   /// schedule rather than shedding. Same contract as adopt(): false leaves
   /// `records` intact for the caller to account.
   bool adopt_records(std::vector<TraceRecord>& records) {
-    {
-      std::lock_guard lock(adopt_mu_);
-      if (adopt_closed_) return false;
-      for (auto& rec : records) record_inbox_.push_back(std::move(rec));
-    }
-    records.clear();
-    wake();
-    return true;
+    return hand_over(record_inbox_, records);
   }
 
   /// Everything a reaped querier leaves behind: queries on the wire
@@ -206,9 +214,8 @@ class QueryEngine::Querier {
     staged_socks_.clear();
     for (auto& [source, conn] : tcp_conns_)
       for (auto& pq : conn->pending.drain()) out.pending.push_back(std::move(pq));
-    for (auto& [token, rec] : deferred_records_)
-      out.unsent.push_back(std::move(*rec));
-    deferred_records_.clear();
+    for (auto& item : schedule_) out.unsent.push_back(std::move(item.rec));
+    schedule_.clear();
     // Point salvaged queries at their records in this report so the
     // adopter resolves them in place. sends never grows again (the thread
     // is parked), so the pointers stay stable until after all joins.
@@ -238,6 +245,18 @@ class QueryEngine::Querier {
   }
 
  private:
+  template <typename T>
+  bool hand_over(std::vector<T>& inbox, std::vector<T>& items) {
+    {
+      std::lock_guard lock(adopt_mu_);
+      if (adopt_closed_) return false;
+      for (auto& item : items) inbox.push_back(std::move(item));
+    }
+    items.clear();
+    wake();
+    return true;
+  }
+
   // Send modes: which post-send bookkeeping a send gets, the same whether
   // it leaves at once (scalar I/O) or with the round's sendmmsg (batched).
   static constexpr uint8_t kStageFresh = 0;  ///< send_query first attempt
@@ -254,6 +273,12 @@ class QueryEngine::Querier {
     bool was_on_wire;  ///< kStageRetry only: wire_sent before this attempt
   };
 
+  /// One event-loop timer kept at the earliest deadline handed to it.
+  struct EarliestTimer {
+    net::EventLoop::TimerId id = 0;  ///< 0 = not armed
+    TimeNs deadline = 0;
+  };
+
   struct UdpSock {
     std::unique_ptr<net::ImpairedUdpSocket> sock;
     PendingTable pending;
@@ -267,6 +292,7 @@ class QueryEngine::Querier {
     bool connected = false;
     TimeNs last_activity = 0;
     uint32_t reconnects_used = 0;  // reconnect budget consumed for this source
+    TimeNs reopen_at = 0;          // a reconnect holds its backlog until then
     std::vector<std::vector<uint8_t>> backlog;  // queued until connected
     PendingTable pending;
     // Per-source impairment stream (owned by the querier's stream map, so
@@ -406,30 +432,22 @@ class QueryEngine::Querier {
       s.partial.impairments.merge(stream->counters());
       s.streams[name] = stream->position(clock_.real_origin());
     }
-    auto snap_pending = [&](const PendingTable& table) {
-      table.for_each([&](const PendingQuery& pq) {
-        CheckpointPending cp;
-        cp.record = record_of(pq);
-        cp.transport = pq.transport;
-        cp.retries_used = pq.retries_used;
-        cp.payload = pq.payload;
-        s.pending.push_back(std::move(cp));
-      });
+    auto snap_pending = [&](const PendingQuery& pq) {
+      CheckpointPending cp;
+      cp.record = record_of(pq);
+      cp.transport = pq.transport;
+      cp.retries_used = pq.retries_used;
+      cp.payload = pq.payload;
+      s.pending.push_back(std::move(cp));
     };
     for (const auto& [source, us] : udp_socks_) {
-      snap_pending(us->pending);
+      us->pending.for_each(snap_pending);
       // Staged sends are in flight for checkpoint purposes: losing them on
       // resume would silently drop queries the schedule already committed.
-      for (const auto& st : us->stage) {
-        CheckpointPending cp;
-        cp.record = record_of(st.pq);
-        cp.transport = st.pq.transport;
-        cp.retries_used = st.pq.retries_used;
-        cp.payload = st.pq.payload;
-        s.pending.push_back(std::move(cp));
-      }
+      for (const auto& st : us->stage) snap_pending(st.pq);
     }
-    for (const auto& [source, conn] : tcp_conns_) snap_pending(conn->pending);
+    for (const auto& [source, conn] : tcp_conns_)
+      conn->pending.for_each(snap_pending);
     for (const auto& [source, n] : sent_per_source_)
       s.sent[source.to_string()] = n;
     std::lock_guard lock(snap_mu_);
@@ -437,16 +455,17 @@ class QueryEngine::Querier {
   }
 
   void on_wake() {
+    // One read resets the eventfd counter, however many pushes wrote it.
     uint64_t buf;
-    while (::read(wake_fd_.get(), &buf, sizeof(buf)) > 0) {
-    }
+    ssize_t r = ::read(wake_fd_.get(), &buf, sizeof(buf));
+    (void)r;
     heartbeat_.beat();
     // Drain the input queue without blocking: try_pop via size probe (this
     // thread is the only consumer while it runs; reap() only drains after
     // the thread parks). Take only what is queued now: the controller
     // refills as fast as this loop pops, and chasing it would hold the
     // querier here, away from due sends and filling sockets. Every later
-    // push wrote the eventfd again, so the loop comes back for it.
+    // push writes the eventfd again, so the loop comes back for it.
     for (size_t n = queue_.size(); n > 0; --n) {
       auto rec = queue_.pop();
       if (!rec.has_value()) break;
@@ -494,22 +513,35 @@ class QueryEngine::Querier {
     if (config_.timed) {
       TimeNs deadline = clock_.deadline_for(rec.timestamp);
       if (deadline > mono_now_ns()) {
-        ++pending_timers_;
-        auto shared = std::make_shared<TraceRecord>(std::move(rec));
-        // Track deferred records by token so reap() can salvage work that
-        // otherwise lives only inside timer closures.
-        uint64_t token = next_deferred_++;
-        deferred_records_.emplace(token, shared);
-        loop_.add_timer_at(deadline, [this, token, shared] {
-          deferred_records_.erase(token);
-          --pending_timers_;
-          send_query(*shared);
-          maybe_finish();
-        });
+        // Records arrive in trace order, so this is nearly always an append;
+        // upper_bound files an earlier one after its equal deadlines (FIFO).
+        auto at = schedule_.end();
+        if (!schedule_.empty() && deadline < schedule_.back().deadline)
+          at = std::upper_bound(
+              schedule_.begin(), schedule_.end(), deadline,
+              [](TimeNs d, const Scheduled& item) { return d < item.deadline; });
+        schedule_.insert(at, Scheduled{deadline, std::move(rec)});
+        arm_earliest(schedule_timer_, schedule_.front().deadline,
+                     &Querier::on_schedule_due);
         return;
       }
     }
-    send_query(rec);  // behind schedule or fast mode: send immediately
+    send_query(std::move(rec));  // behind schedule or fast mode: send now
+  }
+
+  /// The schedule timer: send everything due, re-arm for the new head.
+  void on_schedule_due() {
+    schedule_timer_.id = 0;
+    TimeNs now = mono_now_ns();
+    while (!schedule_.empty() && schedule_.front().deadline <= now) {
+      TraceRecord rec = std::move(schedule_.front().rec);
+      schedule_.pop_front();
+      send_query(std::move(rec));
+    }
+    if (!schedule_.empty())
+      arm_earliest(schedule_timer_, schedule_.front().deadline,
+                   &Querier::on_schedule_due);
+    maybe_finish();
   }
 
   void note_in_flight(int64_t delta) {
@@ -518,7 +550,7 @@ class QueryEngine::Querier {
         std::max(report_.max_in_flight, static_cast<uint64_t>(in_flight_));
   }
 
-  void send_query(const TraceRecord& rec) {
+  void send_query(TraceRecord rec) {
     SendRecord sr;
     sr.trace_time = rec.timestamp;
     sr.send_time = mono_now_ns();
@@ -527,19 +559,15 @@ class QueryEngine::Querier {
     report_.sends.push_back(sr);
     ++report_.queries_sent;
     ++sent_count_for(rec.src.addr);
-    last_send_ = sr.send_time;
 
     PendingQuery pq;
     pq.key = next_key_++;
-    pq.dns_id = rec.dns_payload.size() >= 2
-                    ? static_cast<uint16_t>(rec.dns_payload[0] << 8 |
-                                            rec.dns_payload[1])
-                    : 0;
+    pq.dns_id = dns_id_of(rec.dns_payload);
     pq.send_index = report_.sends.size() - 1;
     pq.transport = rec.transport;
     pq.first_send = sr.send_time;
     pq.source = rec.src.addr;
-    pq.payload = rec.dns_payload;
+    pq.payload = std::move(rec.dns_payload);
     launch(std::move(pq), kStageFresh);
   }
 
@@ -564,33 +592,30 @@ class QueryEngine::Querier {
     TimeNs now = mono_now_ns();
     conn->last_activity = now;
     pq.deadline = now + config_.query_timeout;
-    TimeNs deadline = pq.deadline;
+    schedule_lifecycle(pq.deadline);
+    note_in_flight(+1);
+    if (put_tcp(conn, std::move(pq), now)) ++report_.lifecycle.duplicate_ids;
+  }
+
+  /// Put a query in its connection's pending table and on the wire (or the
+  /// backlog, until connected). A broken send or a flapped link closes the
+  /// connection, whose reconnect path resends it; an Eaten message waits
+  /// for the lifecycle timer. Returns true on a DNS-ID collision.
+  bool put_tcp(TcpConn* conn, PendingQuery pq, TimeNs now) {
     IpAddr source = pq.source;
     if (!conn->connected) {
       conn->backlog.push_back(pq.payload);
-      if (conn->pending.insert(std::move(pq))) ++report_.lifecycle.duplicate_ids;
-      note_in_flight(+1);
-    } else {
-      size_t still_pending = 0;
-      auto out = tcp_send(conn, source, now, pq.payload, &still_pending);
-      if (conn->pending.insert(std::move(pq))) ++report_.lifecycle.duplicate_ids;
-      note_in_flight(+1);
-      if (out == net::TcpSendOutcome::Error ||
-          out == net::TcpSendOutcome::LinkDown) {
-        // Connection broke mid-send (or the link flapped away under it):
-        // the pending entry survives in the table, so the reconnect path
-        // resends it.
-        close_tcp(source, /*lost=*/true);
-        return;
-      }
-      // An Eaten message simply stays pending; the lifecycle timer
-      // resends it like any other timeout.
-      if (still_pending > 0) {
-        // Kernel buffer full: wait for writability to flush the rest.
-        (void)loop_.modify_fd(conn->stream.fd(), net::Interest{true, true});
-      }
+      return conn->pending.insert(std::move(pq));
     }
-    schedule_lifecycle(deadline);
+    size_t still_pending = 0;
+    auto out = tcp_send(conn, source, now, pq.payload, &still_pending);
+    bool collided = conn->pending.insert(std::move(pq));
+    if (out == net::TcpSendOutcome::Error ||
+        out == net::TcpSendOutcome::LinkDown)
+      close_tcp(source, /*lost=*/true);
+    else if (still_pending > 0)  // kernel buffer full: wait for writability
+      (void)loop_.modify_fd(conn->stream.fd(), net::Interest{true, true});
+    return collided;
   }
 
   UdpSock* udp_socket_for(const IpAddr& source) {
@@ -673,10 +698,7 @@ class QueryEngine::Querier {
         sr.outcome = QueryOutcome::Errored;
         break;
       case kStageAdopt:
-        if (sr.outcome == QueryOutcome::Pending) {
-          sr.outcome = QueryOutcome::Errored;
-          ++report_.lifecycle.expired;
-        }
+        expire_pending(sr, QueryOutcome::Errored, report_);
         break;
       default:  // kStageRetry
         ++report_.lifecycle.expired;
@@ -706,9 +728,8 @@ class QueryEngine::Querier {
                                                pq.retries_used,
                                                config_.retry_backoff_cap)
                                : kDeferredSendDelay);
-      TimeNs deadline = pq.deadline;
+      schedule_lifecycle(pq.deadline);
       us.pending.insert(std::move(pq));  // reinsert: not a fresh collision
-      schedule_lifecycle(deadline);
       return;
     }
     // Fresh and adopted sends share the post-send shape; they differ only
@@ -717,10 +738,9 @@ class QueryEngine::Querier {
     if (!on_wire) ++report_.lifecycle.deferred_sends;
     TimeNs base = st.mode == kStageFresh ? pq.first_send : now;
     pq.deadline = base + (on_wire ? config_.query_timeout : kDeferredSendDelay);
-    TimeNs deadline = pq.deadline;
+    schedule_lifecycle(pq.deadline);
     if (us.pending.insert(std::move(pq))) ++report_.lifecycle.duplicate_ids;
     note_in_flight(+1);
-    schedule_lifecycle(deadline);
   }
 
   TcpConn* tcp_conn_for(const IpAddr& source) {
@@ -799,16 +819,18 @@ class QueryEngine::Querier {
     if (config_.batched_io) {
       // Drain with recvmmsg: the views alias this thread's receive arena,
       // valid until the next recv_batch call on this thread (any socket) —
-      // match_response consumes them before then.
+      // match_response consumes them before then. A short batch emptied the
+      // socket; the loop is level-triggered, so stop there rather than pay
+      // a recvmmsg to hear EAGAIN.
       while (true) {
         auto batch = us->sock->recv_batch();
         if (!batch.ok()) {
           ++report_.lifecycle.socket_errors;
           return;
         }
-        if (batch->empty()) return;
         for (const auto& view : *batch)
           match_response(view.payload, us->pending);
+        if (batch->size() < net::UdpSocket::kBatchSize) return;
       }
     }
     while (true) {
@@ -825,8 +847,17 @@ class QueryEngine::Querier {
   void on_tcp_event(const IpAddr& source, TcpConn* conn, bool readable,
                     bool writable) {
     if (writable && !conn->connected) {
-      conn->connected = true;
       TimeNs now = mono_now_ns();
+      if (now < conn->reopen_at && !readable) {  // an error ends the pause
+        (void)loop_.modify_fd(conn->stream.fd(), net::Interest{true, false});
+        loop_.add_timer_at(conn->reopen_at, [this, source] {
+          auto it = tcp_conns_.find(source);
+          if (it != tcp_conns_.end() && !it->second->connected)
+            (void)loop_.modify_fd(it->second->stream.fd(), net::Interest{true, true});
+        });
+        return;
+      }
+      conn->connected = true;
       for (auto& msg : conn->backlog) {
         auto out = tcp_send(conn, source, now, msg);
         if (out == net::TcpSendOutcome::Error ||
@@ -882,6 +913,9 @@ class QueryEngine::Querier {
       fresh = tcp_conn_for(source);
       if (fresh != nullptr) {
         fresh->reconnects_used = reconnects_used + 1;
+        fresh->reopen_at =
+            mono_now_ns() + retry_backoff(kReconnectPause, reconnects_used + 1,
+                                          config_.retry_backoff_cap);
         ++report_.lifecycle.tcp_reconnects;
       }
     }
@@ -895,10 +929,8 @@ class QueryEngine::Querier {
         pq.deadline = now + retry_backoff(config_.query_timeout,
                                           pq.retries_used,
                                           config_.retry_backoff_cap);
-        TimeNs deadline = pq.deadline;
-        fresh->backlog.push_back(pq.payload);
-        fresh->pending.insert(std::move(pq));
-        schedule_lifecycle(deadline);
+        schedule_lifecycle(pq.deadline);
+        (void)put_tcp(fresh, std::move(pq), now);  // backlogged until it connects
       } else {
         ++report_.lifecycle.expired;
         sr.outcome = QueryOutcome::Errored;
@@ -925,20 +957,26 @@ class QueryEngine::Querier {
 
   // ---- lifecycle timer: timeouts, retransmits, bounded expiry ----
 
-  /// Arm (or pull earlier) the single timer that fires at the earliest
-  /// pending deadline across every table this querier owns.
+  /// Keep the single lifecycle timer at the earliest pending deadline
+  /// across every table this querier owns.
   void schedule_lifecycle(TimeNs deadline) {
-    if (lifecycle_timer_ != 0) {
-      if (deadline >= lifecycle_deadline_) return;
-      loop_.cancel_timer(lifecycle_timer_);
+    arm_earliest(lifecycle_timer_, deadline, &Querier::on_lifecycle_due);
+  }
+
+  /// Arm `t` at `deadline`, or pull it earlier; a later deadline waits for
+  /// the timer's own callback to re-arm.
+  void arm_earliest(EarliestTimer& t, TimeNs deadline,
+                    void (Querier::*on_due)()) {
+    if (t.id != 0) {
+      if (deadline >= t.deadline) return;
+      loop_.cancel_timer(t.id);
     }
-    lifecycle_deadline_ = deadline;
-    lifecycle_timer_ =
-        loop_.add_timer_at(deadline, [this] { on_lifecycle_due(); });
+    t.deadline = deadline;
+    t.id = loop_.add_timer_at(deadline, [this, on_due] { (this->*on_due)(); });
   }
 
   void on_lifecycle_due() {
-    lifecycle_timer_ = 0;
+    lifecycle_timer_.id = 0;
     heartbeat_.beat();
     TimeNs now = mono_now_ns();
     for (auto& [source, us] : udp_socks_) {
@@ -1003,28 +1041,12 @@ class QueryEngine::Querier {
     ++sr.retries;
     pq.deadline = now + retry_backoff(config_.query_timeout, pq.retries_used,
                                       config_.retry_backoff_cap);
-    if (!conn->connected) {
-      conn->backlog.push_back(pq.payload);
-      conn->pending.insert(std::move(pq));
-      return;
-    }
-    size_t still_pending = 0;
-    auto out = tcp_send(conn, source, now, pq.payload, &still_pending);
-    if (out == net::TcpSendOutcome::Error ||
-        out == net::TcpSendOutcome::LinkDown) {
-      conn->pending.insert(std::move(pq));
-      close_tcp(source, /*lost=*/true);  // resends via the reconnect path
-      return;
-    }
-    if (still_pending > 0)
-      (void)loop_.modify_fd(conn->stream.fd(), net::Interest{true, true});
-    conn->pending.insert(std::move(pq));
+    (void)put_tcp(conn, std::move(pq), now);  // a retry is not a fresh collision
   }
 
   void match_response(std::span<const uint8_t> payload, PendingTable& pending) {
     if (payload.size() < 2) return;
-    uint16_t id = static_cast<uint16_t>(payload[0] << 8 | payload[1]);
-    auto pq = pending.match(id);
+    auto pq = pending.match(dns_id_of(payload));
     if (!pq.has_value()) {
       // Late (already expired) or unsolicited — the id names no live query.
       ++report_.lifecycle.unmatched_responses;
@@ -1041,22 +1063,19 @@ class QueryEngine::Querier {
   }
 
   void maybe_finish() {
-    if (!input_done_ || pending_timers_ > 0 || stopping_) return;
+    if (!input_done_ || !schedule_.empty() || stopping_) return;
     // Every query reaches a terminal outcome (answer, expiry, error), so
     // in-flight hitting zero is the natural end; drain_grace only caps the
     // wait when the retry/expiry schedule outlives the caller's patience.
     // Staged-but-unflushed sends count as in flight.
-    if (in_flight_ == 0 && staged_count_ == 0) {
+    auto stop = [this] {
       stopping_ = true;
       loop_.stop();
-      return;
-    }
-    if (drain_timer_ == 0) {
-      drain_timer_ = loop_.add_timer_after(config_.drain_grace, [this] {
-        stopping_ = true;
-        loop_.stop();
-      });
-    }
+    };
+    if (in_flight_ == 0 && staged_count_ == 0)
+      stop();
+    else if (drain_timer_ == 0)
+      drain_timer_ = loop_.add_timer_after(config_.drain_grace, stop);
   }
 
   void finalize_report() {
@@ -1074,28 +1093,21 @@ class QueryEngine::Querier {
       leftover_records.swap(record_inbox_);
     }
     report_.shed_queries += leftover_records.size();
-    for (auto& pq : leftover) {
-      SendRecord& sr = record_of(pq);
-      if (sr.outcome == QueryOutcome::Pending) {
-        sr.outcome = QueryOutcome::Errored;
-        ++report_.lifecycle.expired;
-      }
-    }
+    for (auto& pq : leftover)
+      expire_pending(record_of(pq), QueryOutcome::Errored, report_);
     // Queries still pending at shutdown (drain_grace fired before their
     // expiry) are abandoned: counted, never silently lost.
-    auto abandon = [this](PendingQuery&& pq) {
-      SendRecord& sr = record_of(pq);
-      if (sr.outcome != QueryOutcome::Pending) return;
-      sr.outcome = pq.wire_sent ? QueryOutcome::TimedOut : QueryOutcome::Errored;
-      ++report_.lifecycle.expired;
+    auto abandon = [this](PendingQuery& pq) {
+      expire_pending(record_of(pq),
+                     pq.wire_sent ? QueryOutcome::TimedOut : QueryOutcome::Errored,
+                     report_);
     };
     for (auto& [source, us] : udp_socks_)
-      for (auto& pq : us->pending.drain()) abandon(std::move(pq));
+      for (auto& pq : us->pending.drain()) abandon(pq);
     for (auto& [source, conn] : tcp_conns_)
-      for (auto& pq : conn->pending.drain()) abandon(std::move(pq));
-    for (const auto& sr : report_.sends) {
+      for (auto& pq : conn->pending.drain()) abandon(pq);
+    for (const auto& sr : report_.sends)
       report_.replay_end = std::max(report_.replay_end, sr.send_time);
-    }
     for (const auto& [name, stream] : fault_streams_)
       report_.impairments.merge(stream->counters());
     // Final (quiescent) snapshot: pending tables are empty, counters final.
@@ -1132,19 +1144,21 @@ class QueryEngine::Querier {
   std::vector<StagedSend> flush_batch_;
   std::vector<net::UdpSocket::OutDatagram> flush_dgs_;
   std::vector<uint8_t> flush_wire_;
-  size_t pending_timers_ = 0;
   bool input_done_ = false;
   bool stopping_ = false;
   bool stalled_ = false;
   net::EventLoop::TimerId drain_timer_ = 0;
   net::EventLoop::TimerId sweep_timer_ = 0;
-  net::EventLoop::TimerId lifecycle_timer_ = 0;
-  TimeNs lifecycle_deadline_ = 0;
-  TimeNs last_send_ = 0;
+  EarliestTimer lifecycle_timer_;
 
-  // Timed records waiting on their send timers, salvageable by reap().
-  std::unordered_map<uint64_t, std::shared_ptr<TraceRecord>> deferred_records_;
-  uint64_t next_deferred_ = 1;
+  // Timed records not yet due, in deadline order (FIFO among equal ones),
+  // behind one timer armed at the head; reap() salvages them in order.
+  struct Scheduled {
+    TimeNs deadline;
+    TraceRecord rec;
+  };
+  std::deque<Scheduled> schedule_;
+  EarliestTimer schedule_timer_;
 
   // Per-source cumulative sent counts (checkpoint trace positions).
   std::unordered_map<IpAddr, uint64_t, IpAddrHash> sent_per_source_;
@@ -1204,11 +1218,7 @@ class QueryEngine::Distributor {
   /// its queue); the record survived the rejected push, so re-route it.
   void dispatch(TraceRecord rec) {
     while (true) {
-      size_t idx;
-      {
-        std::lock_guard lock(map_mu_);
-        idx = querier_for_locked(rec.src.addr);
-      }
+      size_t idx = querier_for(rec.src.addr);
       if (idx == SIZE_MAX) {
         // Every querier is dead: shed with accounting, never hang.
         shed_.fetch_add(1, std::memory_order_relaxed);
@@ -1282,11 +1292,7 @@ class QueryEngine::Distributor {
   /// Resume path (controller thread, before dispatch): route a restored
   /// in-flight query to the querier that owns its source.
   bool adopt_restored(PendingQuery pq) {
-    size_t idx;
-    {
-      std::lock_guard lock(map_mu_);
-      idx = querier_for_locked(pq.source);
-    }
+    size_t idx = querier_for(pq.source);
     if (idx == SIZE_MAX) return false;
     std::vector<PendingQuery> one;
     one.push_back(std::move(pq));
@@ -1358,8 +1364,9 @@ class QueryEngine::Distributor {
   }
 
   /// Sticky querier for a source, skipping dead queriers; SIZE_MAX when
-  /// none is left alive. Caller holds map_mu_.
-  size_t querier_for_locked(const IpAddr& source) {
+  /// none is left alive.
+  size_t querier_for(const IpAddr& source) {
+    std::lock_guard lock(map_mu_);
     return partition_.place(source, [this](size_t i) { return alive_[i]; });
   }
 
@@ -1367,13 +1374,9 @@ class QueryEngine::Distributor {
   void graveyard(Querier::Salvage&& salvage) {
     std::lock_guard lock(recover_mu_);
     recover_report_.shed_queries += salvage.unsent.size();
-    for (auto& pq : salvage.pending) {
-      if (pq.extern_rec != nullptr &&
-          pq.extern_rec->outcome == QueryOutcome::Pending) {
-        pq.extern_rec->outcome = QueryOutcome::Errored;
-        ++recover_report_.lifecycle.expired;
-      }
-    }
+    for (auto& pq : salvage.pending)
+      if (pq.extern_rec != nullptr)
+        expire_pending(*pq.extern_rec, QueryOutcome::Errored, recover_report_);
   }
 
   const EngineConfig& config_;
@@ -1586,10 +1589,7 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
       rec.latency = -1;
       rec.outcome = QueryOutcome::Pending;
       PendingQuery pq;
-      pq.dns_id = cp.payload.size() >= 2
-                      ? static_cast<uint16_t>(cp.payload[0] << 8 |
-                                              cp.payload[1])
-                      : 0;
+      pq.dns_id = dns_id_of(cp.payload);
       pq.retries_used = cp.retries_used;
       pq.transport = cp.transport;
       pq.source = cp.record.source;
@@ -1651,12 +1651,8 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
     for (auto& d : sh.distributors) merged.merge_from(d->collect());
     // Restored records that never resolved (adopter shut down first, or
     // the adoption itself failed) expire with accounting.
-    for (auto& rec : sh.adopted_records) {
-      if (rec.outcome == QueryOutcome::Pending) {
-        rec.outcome = QueryOutcome::Errored;
-        ++merged.lifecycle.expired;
-      }
-    }
+    for (auto& rec : sh.adopted_records)
+      expire_pending(rec, QueryOutcome::Errored, merged);
     merged.lifecycle.expired += sh.restore_failures;
     merged.sends.insert(merged.sends.end(), sh.adopted_records.begin(),
                         sh.adopted_records.end());

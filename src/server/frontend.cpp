@@ -182,12 +182,15 @@ void ServerFrontend::on_udp_readable() {
   // Batched path: recvmmsg the queries, answer into the reply arena, and
   // flush each inbound batch's replies with one sendmmsg. The flush must
   // happen per batch — the next recv_batch call on this thread recycles the
-  // per-thread arena slots the query views point into.
+  // per-thread arena slots the query views point into. A short batch
+  // emptied the socket: the loop is level-triggered and comes back for
+  // anything that arrives later.
   while (true) {
     auto batch = udp_->recv_batch();
-    if (!batch.ok() || batch->empty()) return;
+    if (!batch.ok()) return;
     for (const auto& view : *batch) handle_udp_query(view.from, view.payload);
     flush_udp_replies();
+    if (batch->size() < net::UdpSocket::kBatchSize) return;
   }
 }
 

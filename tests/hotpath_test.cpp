@@ -475,6 +475,43 @@ TEST(EngineEquivT, FixedSeedFaultCountersMatchScalarPath) {
   }
 }
 
+// The server drains its UDP socket with recvmmsg and stops after a short
+// batch (the loop is level-triggered), so a lone query costs one recvmmsg,
+// not a second one that only hears EAGAIN.
+TEST(IoCountersT, ServerDrainStopsAfterShortBatch) {
+  auto bg = server::BackgroundServer::start(wildcard_server());
+  ASSERT_TRUE(bg.ok());
+  auto client = net::UdpSocket::bind(kLoopback);
+  ASSERT_TRUE(client.ok());
+
+  constexpr size_t kExchanges = 50;
+  net::IoCounters before = net::io_counters();
+  size_t answered = 0;
+  for (size_t k = 0; k < kExchanges; ++k) {
+    auto q = Message::make_query(static_cast<uint16_t>(k),
+                                 *Name::parse("q" + std::to_string(k) + ".example.com"),
+                                 RRType::A, false)
+                 .to_wire();
+    auto sent = client->send_to((*bg)->endpoint(), q);
+    ASSERT_TRUE(sent.ok() && *sent);
+    // Wait for the reply (scalar recv: it counts as recvfrom, not recvmmsg)
+    // so every query reaches the server on its own.
+    TimeNs give_up = mono_now_ns() + 2 * kSecond;
+    while (mono_now_ns() < give_up) {
+      auto dg = client->recv();
+      ASSERT_TRUE(dg.ok());
+      if (dg->has_value()) {
+        ++answered;
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
+  net::IoCounters after = net::io_counters();
+  EXPECT_EQ(answered, kExchanges);
+  EXPECT_LE(after.recvmmsg_calls - before.recvmmsg_calls, kExchanges);
+}
+
 // ---------------------------------------------------------------------------
 // Response template cache.
 // ---------------------------------------------------------------------------

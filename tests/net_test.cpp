@@ -3,7 +3,11 @@
 // of the server frontend, and cross-thread stop.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <thread>
 
 #include "net/event_loop.hpp"
@@ -78,6 +82,126 @@ TEST(EventLoopT, EqualDeadlinesFifo) {
   }
   loop.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+// The loop re-arms its timerfd only when the earliest deadline moves. The
+// patterns below are where a wrongly skipped re-arm would strand a timer:
+// each must fire every live timer exactly once, on time. FireLog::pump
+// blocks up to kWait per round, so a stranded timer shows up as a fire
+// about kWait late rather than as a hung test.
+constexpr TimeNs kWait = 2 * kSecond;
+constexpr TimeNs kTooLate = kSecond;
+
+struct FireLog {
+  EventLoop loop;
+  std::map<int, int> fired;
+  TimeNs worst_late = 0;
+
+  EventLoop::TimerId add(int tag, TimeNs deadline) {
+    // A timer added at a past deadline is due from the moment it is added.
+    TimeNs due = std::max(deadline, mono_now_ns());
+    return loop.add_timer_at(deadline, [this, tag, due] {
+      ++fired[tag];
+      worst_late = std::max(worst_late, mono_now_ns() - due);
+    });
+  }
+  size_t total() const {
+    size_t n = 0;
+    for (const auto& [tag, count] : fired) n += static_cast<size_t>(count);
+    return n;
+  }
+  void pump(size_t fires) {
+    TimeNs give_up = mono_now_ns() + 3 * kWait;
+    while (total() < fires && mono_now_ns() < give_up) loop.poll_once(kWait);
+  }
+  void expect_each_once(std::initializer_list<int> tags) {
+    EXPECT_EQ(total(), tags.size());
+    for (int tag : tags) EXPECT_EQ(fired[tag], 1) << "timer " << tag;
+    EXPECT_LT(worst_late, kTooLate) << "a timer waited for an unrelated wake";
+  }
+};
+
+TEST(TimerRearmT, ReaddedAtAPastDeadlineFires) {
+  FireLog log;
+  TimeNs now = mono_now_ns();
+  log.add(0, now + 3600 * kSecond);  // the timerfd is armed far out
+  TimeNs past = now - 10 * kMilli;
+  log.add(1, past);  // fires in the first round
+  // Re-added from a timer callback at the deadline that already fired.
+  log.loop.add_timer_at(mono_now_ns() + 5 * kMilli,
+                        [&log, past] { log.add(2, past); });
+  // Re-added at the deadline the timerfd is armed for, after it expired:
+  // a flush hook sleeps past that deadline and pokes a pipe, so one
+  // epoll_wait returns both the timerfd and the pipe, and the pipe's
+  // callback adds a timer at the expired deadline.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  Fd rd(fds[0]), wr(fds[1]);
+  TimeNs soon = mono_now_ns() + 20 * kMilli;
+  log.add(3, soon);
+  bool poked = false;
+  log.loop.add_flush_hook([&] {
+    if (poked) return;
+    poked = true;
+    while (mono_now_ns() <= soon + kMilli)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(::write(wr.get(), "x", 1), 1);
+  });
+  ASSERT_TRUE(log.loop
+                  .add_fd(rd.get(), Interest{true, false},
+                          [&](bool, bool) {
+                            char c;
+                            ASSERT_EQ(::read(rd.get(), &c, 1), 1);
+                            log.add(4, soon);
+                          })
+                  .ok());
+  log.pump(4);
+  log.loop.remove_fd(rd.get());
+  log.expect_each_once({1, 2, 3, 4});
+}
+
+TEST(TimerRearmT, CancelHeadThenReaddAtSameDeadline) {
+  FireLog log;
+  TimeNs now = mono_now_ns();
+  TimeNs head = now + 20 * kMilli;
+  auto first = log.add(0, head);
+  log.add(1, now + 3600 * kSecond);
+  log.loop.cancel_timer(first);  // the far timer becomes the head
+  log.add(2, head);              // and back again, at the same deadline
+  auto second = log.add(3, head + 10 * kMilli);
+  log.loop.cancel_timer(second);  // not the head: the armed deadline stays
+  log.add(4, head + 10 * kMilli);
+  log.pump(2);
+  log.expect_each_once({2, 4});
+}
+
+TEST(TimerRearmT, TimerAddedFromTimerCallbackFires) {
+  FireLog log;
+  TimeNs now = mono_now_ns();
+  log.add(0, now + 3600 * kSecond);
+  // A chain: each link adds the next from inside its own callback.
+  std::function<void(int)> link = [&](int i) {
+    log.loop.add_timer_at(mono_now_ns() + 5 * kMilli, [&, i] {
+      ++log.fired[10 + i];
+      if (i < 4) link(i + 1);
+    });
+  };
+  link(0);
+  log.add(1, now + 15 * kMilli);  // interleaves with the chain
+  log.pump(6);
+  log.expect_each_once({1, 10, 11, 12, 13, 14});
+}
+
+TEST(TimerRearmT, HeapEmptiesAndRefills) {
+  FireLog log;
+  for (int round = 0; round < 4; ++round) {
+    // Each round the heap drains to empty (the timerfd disarms), then
+    // refills; a later round re-uses an earlier round's offset.
+    log.add(round, mono_now_ns() + (round % 2 == 0 ? 5 : 15) * kMilli);
+    log.pump(static_cast<size_t>(round) + 1);
+    EXPECT_EQ(log.loop.timer_count(), 0u);
+  }
+  log.expect_each_once({0, 1, 2, 3});
 }
 
 TEST(EventLoopT, CrossThreadStop) {

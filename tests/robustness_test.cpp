@@ -437,6 +437,88 @@ TEST(SelfHealingT, StallInjectionIsDisabledWithoutSupervision) {
   EXPECT_EQ(report->queries_sent, trace.size());
 }
 
+// --- querier send schedule and input handoff --------------------------------
+
+// A timed querier keeps its not-yet-due records in one deadline-ordered
+// schedule. Records that arrive out of trace order must still leave in
+// deadline order, FIFO among equal deadlines, and never early.
+TEST(ScheduleT, OutOfOrderAndEqualTimestampsLeaveInDeadlineOrder) {
+  auto bg = server::BackgroundServer::start(wildcard_server());
+  ASSERT_TRUE(bg.ok()) << bg.error().message;
+
+  synth::FixedTraceSpec spec;
+  spec.interarrival_ns = kMilli;
+  spec.duration_ns = 8 * kMilli;
+  spec.client_count = 8;  // one source per record, so sends are traceable
+  auto trace = synth::make_fixed_trace(spec);
+  ASSERT_EQ(trace.size(), 8u);
+  // Trace offsets in ms, in arrival order. The first record anchors the
+  // clock; the others sit well past the engine's startup lead, so they are
+  // still in the future when the querier files them.
+  const TimeNs offsets_ms[8] = {0, 800, 600, 600, 800, 700, 600, 0};
+  for (size_t i = 0; i < trace.size(); ++i)
+    trace[i].timestamp = offsets_ms[i] * kMilli;
+  const size_t expected_order[8] = {0, 7, 2, 3, 6, 5, 1, 4};
+
+  EngineConfig cfg;
+  cfg.server = (*bg)->endpoint();
+  cfg.distributors = 1;
+  cfg.queriers_per_distributor = 1;  // one querier: sends is its send order
+  cfg.timed = true;
+  QueryEngine engine(cfg);
+  auto report = engine.replay(trace);
+  ASSERT_TRUE(report.ok()) << report.error().message;
+
+  ASSERT_EQ(report->sends.size(), trace.size());
+  for (size_t i = 0; i < trace.size(); ++i) {
+    const TraceRecord& want = trace[expected_order[i]];
+    EXPECT_EQ(report->sends[i].source, want.src.addr) << "send " << i;
+    EXPECT_EQ(report->sends[i].trace_time, want.timestamp) << "send " << i;
+    EXPECT_GE(report->sends[i].send_time, report->replay_start + want.timestamp)
+        << "send " << i << " left early";
+  }
+  EXPECT_EQ(report->responses_received, trace.size());
+}
+
+// One querier behind an 8-slot queue: the controller blocks on a full
+// queue over and over, so every push/wake handoff is exercised thousands
+// of times. A lost wake-up leaves the controller blocked and the querier
+// asleep, and the replay never finishes.
+void stress_handoff(bool timed) {
+  auto bg = server::BackgroundServer::start(wildcard_server());
+  ASSERT_TRUE(bg.ok()) << bg.error().message;
+
+  synth::FixedTraceSpec spec;
+  spec.interarrival_ns = 50 * kMilli / 1000;  // 20k q/s when timed
+  spec.duration_ns = kSecond;                 // 20000 queries
+  spec.client_count = 16;
+  auto trace = synth::make_fixed_trace(spec);
+  ASSERT_EQ(trace.size(), 20000u);
+
+  EngineConfig cfg;
+  cfg.server = (*bg)->endpoint();
+  cfg.distributors = 1;
+  cfg.queriers_per_distributor = 1;
+  cfg.queue_capacity = 8;
+  cfg.timed = timed;
+  cfg.max_retries = 0;
+  cfg.query_timeout = 200 * kMilli;
+  cfg.drain_grace = kSecond;
+  QueryEngine engine(cfg);
+  auto report = engine.replay(trace);
+  ASSERT_TRUE(report.ok()) << report.error().message;
+  EXPECT_EQ(report->queries_sent, trace.size());
+  EXPECT_EQ(report->shed_queries, 0u);
+  // A fast querier sends as it pops, so the controller surely outruns it.
+  if (!timed) {
+    EXPECT_EQ(report->queue_hwm, 8u);
+  }
+}
+
+TEST(HandoffT, TinyQueueFastReplaySendsEveryRecord) { stress_handoff(false); }
+
+TEST(HandoffT, TinyQueueTimedReplaySendsEveryRecord) { stress_handoff(true); }
+
 // --- overload shedding ------------------------------------------------------
 
 // A consumer that never drains (stalled at t=0) saturates its tiny queue;
