@@ -105,8 +105,12 @@ Result<Message> Message::from_wire(std::span<const uint8_t> data) {
 }
 
 std::vector<uint8_t> Message::to_wire(size_t max_size) const {
+  // Encode into a per-thread scratch writer and return an exact-size copy: a
+  // trace record keeps its payload for the whole replay, so the payload must
+  // not carry the writer's growth slack (a 512-byte buffer per 40-byte query).
+  thread_local ByteWriter w;
   auto encode = [this](bool truncated) {
-    ByteWriter w(512);
+    w.clear();
     NameCompressor compressor;
 
     uint16_t flags = 0;
@@ -139,12 +143,12 @@ std::vector<uint8_t> Message::to_wire(size_t max_size) const {
       for (const auto& rr : additionals) rr_to_wire(rr, w, compressor);
     }
     if (edns.has_value()) edns_to_wire(*edns, w);
-    return std::move(w).take();
   };
 
-  auto full = encode(false);
-  if (max_size == 0 || full.size() <= max_size) return full;
-  return encode(true);
+  encode(false);
+  if (max_size != 0 && w.size() > max_size) encode(true);
+  auto bytes = w.data();
+  return {bytes.begin(), bytes.end()};
 }
 
 Message Message::make_query(uint16_t id, const Name& qname, RRType qtype,

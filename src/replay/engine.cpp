@@ -31,6 +31,31 @@ constexpr TimeNs kDeferredSendDelay = 10 * kMilli;
 // in microseconds against a link that is still down.
 constexpr TimeNs kReconnectPause = 10 * kMilli;
 
+/// How far the trace's query records run out of time order: the largest
+/// gap by which a record trails the latest timestamp before it (0 for a
+/// time-ordered trace).
+TimeNs trace_disorder(const std::vector<TraceRecord>& trace) {
+  TimeNs latest = trace.front().timestamp;
+  TimeNs disorder = 0;
+  for (const auto& rec : trace) {
+    if (rec.direction != trace::Direction::Query) continue;
+    latest = std::max(latest, rec.timestamp);
+    disorder = std::max(disorder, latest - rec.timestamp);
+  }
+  return disorder;
+}
+
+/// Block the controller until `deadline` is within `window`. A record
+/// further out sleeps it until the deadline is half a lookahead closer than
+/// that, so each wake hands off about kControllerLookahead / 2 of trace
+/// time: bursts small enough that the queriers still send on time.
+void wait_for_lookahead(TimeNs deadline, TimeNs window) {
+  if (deadline - mono_now_ns() <= window) return;
+  std::this_thread::sleep_until(std::chrono::steady_clock::time_point(
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::nanoseconds(deadline - window + kControllerLookahead / 2))));
+}
+
 uint16_t dns_id_of(std::span<const uint8_t> wire) {
   return wire.size() >= 2 ? static_cast<uint16_t>(wire[0] << 8 | wire[1]) : 0;
 }
@@ -76,8 +101,13 @@ void EngineReport::merge_from(EngineReport&& other) {
     if (sr.send_time > 0 && (replay_start == 0 || sr.send_time < replay_start))
       replay_start = sr.send_time;
   }
-  sends.insert(sends.end(), std::make_move_iterator(other.sends.begin()),
-               std::make_move_iterator(other.sends.end()));
+  // The first report merged in hands over its buffer: copying it would
+  // briefly hold every send record of the replay twice.
+  if (sends.empty()) {
+    sends = std::move(other.sends);
+  } else {
+    sends.insert(sends.end(), other.sends.begin(), other.sends.end());
+  }
 }
 
 namespace {
@@ -1606,7 +1636,13 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
   // The Postman: mutate each record once (on this thread, so stateful user
   // closures never see concurrent calls), skip what the checkpoints
   // already replayed, and hand the rest to the record's shard, distributor
-  // group and querier.
+  // group and querier — in timed mode no earlier than kControllerLookahead
+  // before the record is due. Pacing goes by the mutated timestamp, the one
+  // the querier schedules by. The window widens by the trace's disorder, so
+  // a record that trails a later one in the file is never held up behind
+  // it: a record out of time order still reaches its querier in time.
+  const TimeNs window =
+      config_.timed ? kControllerLookahead + trace_disorder(trace) : 0;
   for (const auto& rec : trace) {
     if (rec.direction != trace::Direction::Query) continue;
     Shard& sh = shards[shard_of.place(rec.src.addr)];
@@ -1626,6 +1662,7 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
       --sk->second;
       continue;
     }
+    if (config_.timed) wait_for_lookahead(clock.deadline_for(record.timestamp), window);
     size_t idx = sh.distributor_of.place(record.src.addr);
     sh.distributors[idx]->dispatch(std::move(record));
   }

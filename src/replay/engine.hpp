@@ -6,7 +6,10 @@
 // record's trace source, mutates the record once, then picks a distributor
 // group within the shard and a querier within the group — all by the
 // shared first-appearance rule (partition.hpp) — and pushes the record
-// straight onto that querier's queue under the overload policy. Distributors and shards own no thread:
+// straight onto that querier's queue under the overload policy. In timed
+// mode it hands a record off only within kControllerLookahead of its
+// deadline, so what waits in the queriers is a window of the trace, not
+// the rest of it. Distributors and shards own no thread:
 // a distributor is a group of queriers with its own sticky map, liveness
 // and recovery; a shard is the set of groups that checkpoint to one file.
 // A replay runs shards × distributors × queriers querier threads plus at
@@ -51,6 +54,14 @@ enum class OverloadPolicy : uint8_t {
   DropOldest = 1, ///< evict the oldest queued record, counted as shed
   ClampRate = 2,  ///< keep blocking but account the stall time
 };
+
+/// Timed replay: the controller hands a record to its querier no earlier
+/// than this before the record's deadline, so querier schedules hold this
+/// window of the trace instead of everything not yet sent. A trace out of
+/// time order widens the window by its largest disorder (how far a record
+/// trails an earlier one), so no record waits behind a later one. Fast
+/// mode, and records a resume skips, are not paced.
+inline constexpr TimeNs kControllerLookahead = 50 * kMilli;
 
 struct EngineConfig {
   Endpoint server;            ///< where replayed queries go

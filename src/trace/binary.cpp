@@ -68,37 +68,38 @@ Result<void> BinaryWriter::save(const std::string& path) const {
 }
 
 Result<BinaryReader> BinaryReader::from_bytes(std::vector<uint8_t> bytes) {
+  return from_input(InputBytes(std::move(bytes)));
+}
+
+Result<BinaryReader> BinaryReader::open(const std::string& path) {
+  return from_input(LDP_TRY(InputBytes::map_file(path)));
+}
+
+Result<BinaryReader> BinaryReader::from_input(InputBytes bytes) {
   BinaryReader rd;
-  rd.data_ = std::move(bytes);
-  if (rd.data_.size() < 6 || std::memcmp(rd.data_.data(), kMagic, 4) != 0)
+  rd.bytes_ = std::move(bytes);
+  auto data = rd.bytes_.span();
+  if (data.size() < 6 || std::memcmp(data.data(), kMagic, 4) != 0)
     return Err("not an LDPB stream");
-  uint16_t version = static_cast<uint16_t>(rd.data_[4] << 8 | rd.data_[5]);
+  uint16_t version = static_cast<uint16_t>(data[4] << 8 | data[5]);
   if (version != kVersion)
     return Err("unsupported LDPB version " + std::to_string(version));
   rd.pos_ = 6;
   return rd;
 }
 
-Result<BinaryReader> BinaryReader::open(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Err("cannot open " + path);
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  size_t got = std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (got != bytes.size()) return Err("short read on " + path);
-  return from_bytes(std::move(bytes));
+Result<std::optional<TraceRecord>> BinaryReader::next() {
+  TraceRecord rec;
+  if (!LDP_TRY(next_into(rec))) return std::optional<TraceRecord>{};
+  return std::optional<TraceRecord>{std::move(rec)};
 }
 
-Result<std::optional<TraceRecord>> BinaryReader::next() {
-  if (pos_ >= data_.size()) return std::optional<TraceRecord>{};
-  ByteReader rd(std::span<const uint8_t>(data_).subspan(pos_));
+Result<bool> BinaryReader::next_into(TraceRecord& rec) {
+  if (pos_ >= bytes_.size()) return false;
+  ByteReader rd(bytes_.span().subspan(pos_));
   uint16_t total = LDP_TRY(rd.u16());
   if (rd.remaining() < total) return Err("truncated LDPB message");
 
-  TraceRecord rec;
   rec.timestamp = static_cast<TimeNs>(LDP_TRY(rd.u64()));
   uint8_t transport = LDP_TRY(rd.u8());
   if (transport > 2) return Err("bad transport in LDPB stream");
@@ -111,20 +112,29 @@ Result<std::optional<TraceRecord>> BinaryReader::next() {
   rec.dst.addr = LDP_TRY(read_addr(rd));
   rec.dst.port = LDP_TRY(rd.u16());
   uint16_t payload_len = LDP_TRY(rd.u16());
-  rec.dns_payload = LDP_TRY(rd.bytes_copy(payload_len));
+  auto payload = LDP_TRY(rd.bytes(payload_len));
+  rec.dns_payload.assign(payload.begin(), payload.end());
 
   if (rd.pos() != static_cast<size_t>(total) + 2)
     return Err("LDPB message length mismatch");
   pos_ += rd.pos();
-  return std::optional<TraceRecord>{std::move(rec)};
+  return true;
+}
+
+size_t BinaryReader::messages_left() const {
+  ByteReader rd(bytes_.span().subspan(pos_));
+  size_t n = 0;
+  while (rd.remaining() >= 2 && rd.skip(*rd.u16()).ok()) ++n;
+  return n;
 }
 
 Result<std::vector<TraceRecord>> BinaryReader::read_all() {
   std::vector<TraceRecord> out;
+  out.reserve(messages_left());
   while (true) {
-    auto rec = LDP_TRY(next());
-    if (!rec.has_value()) return out;
-    out.push_back(std::move(*rec));
+    TraceRecord rec;
+    if (!LDP_TRY(next_into(rec))) return out;
+    out.push_back(std::move(rec));
   }
 }
 

@@ -14,6 +14,7 @@
 
 #include <optional>
 
+#include "trace/input_bytes.hpp"
 #include "trace/record.hpp"
 
 namespace ldp::trace {
@@ -38,6 +39,7 @@ class BinaryWriter {
 class BinaryReader {
  public:
   static Result<BinaryReader> from_bytes(std::vector<uint8_t> bytes);
+  /// Maps the file read-only and validates the stream header.
   static Result<BinaryReader> open(const std::string& path);
 
   /// Next record, or nullopt at end. Malformed framing is an error (this is
@@ -48,7 +50,13 @@ class BinaryReader {
 
  private:
   BinaryReader() = default;
-  std::vector<uint8_t> data_;
+  static Result<BinaryReader> from_input(InputBytes bytes);
+  /// Decode the next record into `rec`; false at the end.
+  Result<bool> next_into(TraceRecord& rec);
+  /// Messages left in the stream, counted from the length prefixes alone.
+  size_t messages_left() const;
+
+  InputBytes bytes_;
   size_t pos_ = 0;
 };
 

@@ -29,23 +29,18 @@ uint64_t ns_to_erf_ts(TimeNs t) {
 }  // namespace
 
 Result<ErfReader> ErfReader::open(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Err("cannot open " + path);
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  size_t got = std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (got != bytes.size()) return Err("short read on " + path);
-  return from_bytes(std::move(bytes));
+  return from_input(LDP_TRY(InputBytes::map_file(path)));
 }
 
 Result<ErfReader> ErfReader::from_bytes(std::vector<uint8_t> bytes) {
+  return from_input(InputBytes(std::move(bytes)));
+}
+
+Result<ErfReader> ErfReader::from_input(InputBytes bytes) {
   ErfReader rd;
-  rd.data_ = std::move(bytes);
+  rd.bytes_ = std::move(bytes);
   // ERF has no file header; sanity-check the first record if any.
-  if (!rd.data_.empty() && rd.data_.size() < 16)
+  if (rd.bytes_.size() > 0 && rd.bytes_.size() < 16)
     return Err("not an ERF stream (shorter than one record header)");
   return rd;
 }
@@ -57,8 +52,8 @@ Result<std::optional<TraceRecord>> ErfReader::next() {
       pending_.pop_front();
       return std::optional<TraceRecord>{std::move(rec)};
     }
-    if (pos_ >= data_.size()) return std::optional<TraceRecord>{};
-    ByteReader rd(std::span<const uint8_t>(data_).subspan(pos_));
+    if (pos_ >= bytes_.size()) return std::optional<TraceRecord>{};
+    ByteReader rd(bytes_.span().subspan(pos_));
     if (rd.remaining() < 16) return Err("truncated ERF record header");
 
     uint64_t ts_lo = LDP_TRY(rd.u32_le());
@@ -98,17 +93,20 @@ Result<std::optional<TraceRecord>> ErfReader::next() {
       ++skipped_;
       continue;
     }
-    auto classified = classify_ip_packet(frame.subspan(14), erf_ts_to_ns(ts));
-    if (classified.udp_record.has_value())
-      return std::optional<TraceRecord>{std::move(*classified.udp_record)};
-    if (classified.tcp_segment.has_value()) {
-      auto completed = reassembler_.feed(*classified.tcp_segment);
-      if (completed.empty()) continue;
-      for (size_t i = 1; i < completed.size(); ++i)
-        pending_.push_back(std::move(completed[i]));
-      return std::optional<TraceRecord>{std::move(completed[0])};
+    TraceRecord rec;
+    switch (classify_ip_packet(frame.subspan(14), erf_ts_to_ns(ts), rec, segment_)) {
+      case PacketKind::UdpDns:
+        return std::optional<TraceRecord>{std::move(rec)};
+      case PacketKind::TcpDns: {
+        auto completed = reassembler_.feed(segment_);
+        if (completed.empty()) continue;
+        for (size_t i = 1; i < completed.size(); ++i)
+          pending_.push_back(std::move(completed[i]));
+        return std::optional<TraceRecord>{std::move(completed[0])};
+      }
+      case PacketKind::Other:
+        ++skipped_;
     }
-    ++skipped_;
   }
 }
 

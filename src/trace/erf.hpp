@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 
+#include "trace/input_bytes.hpp"
 #include "trace/packet.hpp"
 #include "trace/record.hpp"
 
@@ -32,10 +33,13 @@ class ErfReader {
 
  private:
   ErfReader() = default;
-  std::vector<uint8_t> data_;
+  static Result<ErfReader> from_input(InputBytes bytes);
+
+  InputBytes bytes_;
   size_t pos_ = 0;
   uint64_t skipped_ = 0;
   TcpReassembler reassembler_;
+  TcpSegment segment_;  // decode scratch for TCP packets
   std::deque<TraceRecord> pending_;
 };
 

@@ -26,7 +26,8 @@ Direction direction_for(uint16_t sport) {
 }
 
 // Strict parser; the public wrapper converts failures into "skip".
-Result<ClassifiedPacket> classify_strict(std::span<const uint8_t> packet, TimeNs ts) {
+Result<PacketKind> classify_strict(std::span<const uint8_t> packet, TimeNs ts,
+                                   TraceRecord& rec, TcpSegment& seg) {
   ByteReader pkt(packet);
   if (pkt.remaining() < 1) return Err("empty packet");
   uint8_t ver = static_cast<uint8_t>(packet[pkt.pos()] >> 4);
@@ -62,7 +63,6 @@ Result<ClassifiedPacket> classify_strict(std::span<const uint8_t> packet, TimeNs
     return Err("not IP");
   }
 
-  ClassifiedPacket out;
   if (ip_proto == 17) {  // UDP
     if (pkt.remaining() < 8) return Err("short UDP header");
     uint16_t sport = LDP_TRY(pkt.u16());
@@ -70,21 +70,19 @@ Result<ClassifiedPacket> classify_strict(std::span<const uint8_t> packet, TimeNs
     uint16_t udp_len = LDP_TRY(pkt.u16());
     LDP_TRY_VOID(pkt.u16());  // checksum
     if (!is_dns_port(sport, dport) || udp_len < 8) return Err("not DNS UDP");
-    TraceRecord rec;
-    rec.timestamp = ts;
     size_t payload_len = std::min<size_t>(udp_len - 8, pkt.remaining());
-    rec.dns_payload = LDP_TRY(pkt.bytes_copy(payload_len));
-    if (rec.dns_payload.size() < 12) return Err("shorter than a DNS header");
+    if (payload_len < 12) return Err("shorter than a DNS header");
+    auto payload = LDP_TRY(pkt.bytes(payload_len));
+    rec.timestamp = ts;
+    rec.dns_payload.assign(payload.begin(), payload.end());
     rec.transport = Transport::Udp;
     rec.src = Endpoint{src_addr, sport};
     rec.dst = Endpoint{dst_addr, dport};
     rec.direction = direction_for(sport);
-    out.udp_record = std::move(rec);
-    return out;
+    return PacketKind::UdpDns;
   }
   if (ip_proto == 6) {  // TCP: hand the segment to the reassembler
     if (pkt.remaining() < 20) return Err("short TCP header");
-    TcpSegment seg;
     seg.timestamp = ts;
     uint16_t sport = LDP_TRY(pkt.u16());
     uint16_t dport = LDP_TRY(pkt.u16());
@@ -100,21 +98,21 @@ Result<ClassifiedPacket> classify_strict(std::span<const uint8_t> packet, TimeNs
     if (header_len < 20 || pkt.remaining() < header_len - 14)
       return Err("bad TCP header length");
     LDP_TRY_VOID(pkt.skip(header_len - 14));  // rest of the TCP header
-    seg.payload = LDP_TRY(pkt.bytes_copy(pkt.remaining()));
+    auto payload = LDP_TRY(pkt.bytes(pkt.remaining()));
+    seg.payload.assign(payload.begin(), payload.end());
     seg.src = Endpoint{src_addr, sport};
     seg.dst = Endpoint{dst_addr, dport};
-    out.tcp_segment = std::move(seg);
-    return out;
+    return PacketKind::TcpDns;
   }
   return Err("not UDP/TCP");
 }
 
 }  // namespace
 
-ClassifiedPacket classify_ip_packet(std::span<const uint8_t> packet, TimeNs timestamp) {
-  auto parsed = classify_strict(packet, timestamp);
-  if (!parsed.ok()) return ClassifiedPacket{};
-  return std::move(*parsed);
+PacketKind classify_ip_packet(std::span<const uint8_t> packet, TimeNs timestamp,
+                              TraceRecord& udp, TcpSegment& tcp) {
+  auto kind = classify_strict(packet, timestamp, udp, tcp);
+  return kind.ok() ? *kind : PacketKind::Other;
 }
 
 std::vector<TraceRecord> TcpReassembler::feed(const TcpSegment& segment) {

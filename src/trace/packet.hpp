@@ -4,7 +4,6 @@
 #pragma once
 
 #include <map>
-#include <optional>
 
 #include "trace/record.hpp"
 
@@ -44,16 +43,19 @@ struct TcpSegment {
   TimeNs timestamp = 0;
 };
 
-/// Classification of one captured IP packet. Exactly one member is set for
-/// DNS traffic; both empty means "not DNS we understand" (skip it).
-struct ClassifiedPacket {
-  std::optional<TraceRecord> udp_record;
-  std::optional<TcpSegment> tcp_segment;
+/// What one captured IP packet carries.
+enum class PacketKind : uint8_t {
+  Other,   ///< not DNS we understand (skip it)
+  UdpDns,  ///< a whole DNS message over UDP
+  TcpDns,  ///< a TCP segment on a DNS port, for the reassembler
 };
 
 /// Parse the IP layer of a captured packet. Never fails hard: anything
-/// unparseable comes back with both members empty.
-ClassifiedPacket classify_ip_packet(std::span<const uint8_t> packet, TimeNs timestamp);
+/// unparseable is Other. UdpDns overwrites every field of `udp`; TcpDns
+/// overwrites every field of `tcp`. Decoding into the caller's objects lets
+/// a reader build each record in its final place, with no moves between.
+PacketKind classify_ip_packet(std::span<const uint8_t> packet, TimeNs timestamp,
+                              TraceRecord& udp, TcpSegment& tcp);
 
 /// In-order TCP stream reassembly for DNS captures. Tracks one buffer per
 /// (src, dst) flow direction, strips the 2-byte length framing, and emits a

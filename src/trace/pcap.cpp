@@ -35,22 +35,17 @@ uint16_t udp4_checksum(Ip4 src, Ip4 dst, std::span<const uint8_t> udp_segment) {
 }
 
 Result<PcapReader> PcapReader::open(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Err("cannot open " + path);
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  size_t got = std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (got != bytes.size()) return Err("short read on " + path);
-  return from_bytes(std::move(bytes));
+  return from_input(LDP_TRY(InputBytes::map_file(path)));
 }
 
 Result<PcapReader> PcapReader::from_bytes(std::vector<uint8_t> bytes) {
+  return from_input(InputBytes(std::move(bytes)));
+}
+
+Result<PcapReader> PcapReader::from_input(InputBytes bytes) {
   PcapReader rd;
-  rd.data_ = std::move(bytes);
-  ByteReader hdr(rd.data_);
+  rd.bytes_ = std::move(bytes);
+  ByteReader hdr(rd.bytes_.span());
   uint32_t magic = LDP_TRY(hdr.u32_le());
   if (magic == kMagicMicro) {
     rd.nanosecond_ts_ = false;
@@ -68,14 +63,20 @@ Result<PcapReader> PcapReader::from_bytes(std::vector<uint8_t> bytes) {
 }
 
 Result<std::optional<TraceRecord>> PcapReader::next() {
+  TraceRecord rec;
+  if (!LDP_TRY(next_into(rec))) return std::optional<TraceRecord>{};
+  return std::optional<TraceRecord>{std::move(rec)};
+}
+
+Result<bool> PcapReader::next_into(TraceRecord& rec) {
   while (true) {
     if (!pending_.empty()) {
-      TraceRecord rec = std::move(pending_.front());
+      rec = std::move(pending_.front());
       pending_.pop_front();
-      return std::optional<TraceRecord>{std::move(rec)};
+      return true;
     }
-    if (pos_ >= data_.size()) return std::optional<TraceRecord>{};
-    ByteReader rd(std::span<const uint8_t>(data_).subspan(pos_));
+    if (pos_ >= bytes_.size()) return false;
+    ByteReader rd(bytes_.span().subspan(pos_));
     if (rd.remaining() < 16) return Err("truncated pcap record header");
     uint32_t ts_sec = LDP_TRY(rd.u32_le());
     uint32_t ts_frac = LDP_TRY(rd.u32_le());
@@ -102,26 +103,43 @@ Result<std::optional<TraceRecord>> PcapReader::next() {
       packet = packet.subspan(14);
     }
 
-    auto classified = classify_ip_packet(packet, ts);
-    if (classified.udp_record.has_value())
-      return std::optional<TraceRecord>{std::move(*classified.udp_record)};
-    if (classified.tcp_segment.has_value()) {
-      auto completed = reassembler_.feed(*classified.tcp_segment);
-      if (completed.empty()) continue;  // segment consumed, nothing finished
-      for (size_t i = 1; i < completed.size(); ++i)
-        pending_.push_back(std::move(completed[i]));
-      return std::optional<TraceRecord>{std::move(completed[0])};
+    switch (classify_ip_packet(packet, ts, rec, segment_)) {
+      case PacketKind::UdpDns:
+        return true;
+      case PacketKind::TcpDns: {
+        auto completed = reassembler_.feed(segment_);
+        if (completed.empty()) continue;  // segment consumed, nothing finished
+        for (size_t i = 1; i < completed.size(); ++i)
+          pending_.push_back(std::move(completed[i]));
+        rec = std::move(completed[0]);
+        return true;
+      }
+      case PacketKind::Other:
+        ++skipped_;
     }
-    ++skipped_;
   }
+}
+
+size_t PcapReader::packets_left() const {
+  ByteReader rd(bytes_.span().subspan(pos_));
+  size_t n = 0;
+  while (rd.remaining() >= 16) {
+    (void)rd.skip(8);  // ts_sec, ts_frac
+    uint32_t incl_len = *rd.u32_le();
+    (void)rd.skip(4);  // orig_len
+    if (!rd.skip(incl_len).ok()) break;
+    ++n;
+  }
+  return n;
 }
 
 Result<std::vector<TraceRecord>> PcapReader::read_all() {
   std::vector<TraceRecord> out;
+  out.reserve(packets_left() + pending_.size());
   while (true) {
-    auto rec = LDP_TRY(next());
-    if (!rec.has_value()) return out;
-    out.push_back(std::move(*rec));
+    TraceRecord rec;
+    if (!LDP_TRY(next_into(rec))) return out;
+    out.push_back(std::move(rec));
   }
 }
 

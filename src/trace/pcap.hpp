@@ -16,6 +16,7 @@
 #include <optional>
 #include <string>
 
+#include "trace/input_bytes.hpp"
 #include "trace/packet.hpp"
 #include "trace/record.hpp"
 
@@ -24,7 +25,7 @@ namespace ldp::trace {
 /// Streams records out of a pcap file.
 class PcapReader {
  public:
-  /// Opens and validates the global header.
+  /// Maps the file read-only and validates the global header.
   static Result<PcapReader> open(const std::string& path);
 
   /// Parse from an in-memory buffer (tests and composed pipelines).
@@ -41,13 +42,19 @@ class PcapReader {
 
  private:
   PcapReader() = default;
+  static Result<PcapReader> from_input(InputBytes bytes);
+  /// Decode the next DNS record into `rec`; false at EOF.
+  Result<bool> next_into(TraceRecord& rec);
+  /// Packets left in the file, counted from the record headers alone.
+  size_t packets_left() const;
 
-  std::vector<uint8_t> data_;
+  InputBytes bytes_;
   size_t pos_ = 0;
   uint32_t linktype_ = 0;
   bool nanosecond_ts_ = false;
   uint64_t skipped_ = 0;
   TcpReassembler reassembler_;
+  TcpSegment segment_;               // decode scratch for TCP packets
   std::deque<TraceRecord> pending_;  // extra messages one segment completed
 };
 

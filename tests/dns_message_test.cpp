@@ -152,6 +152,25 @@ TEST(Message, TruncationKeepsEdns) {
   EXPECT_TRUE(back->edns.has_value());
 }
 
+// Trace records keep their encoded payloads for a whole replay, so the
+// encoder must hand back exactly the bytes it wrote, with no growth slack.
+TEST(Message, ToWireIsExactSize) {
+  auto query = Message::make_query(0x2a, mk("www.example.com"), RRType::A).to_wire();
+  EXPECT_EQ(query.capacity(), query.size());
+
+  Message r;
+  r.header.qr = true;
+  r.questions.push_back(Question{mk("x.example"), RRType::A, RRClass::IN});
+  for (int i = 0; i < 200; ++i)
+    r.answers.push_back(a_rr("x.example", 1, Ip4{1, 1, 1, static_cast<uint8_t>(i)}));
+  auto truncated = r.to_wire(512);
+  EXPECT_LT(truncated.size(), 512u);
+  EXPECT_EQ(truncated.capacity(), truncated.size());
+  auto back = Message::from_wire(truncated);
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(back->header.tc);
+}
+
 TEST(Message, MakeResponseMirrorsEdnsDo) {
   Message q = Message::make_query(9, mk("example.com"), RRType::DNSKEY);
   Edns e;

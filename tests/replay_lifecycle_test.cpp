@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstring>
 #include <thread>
+#include <vector>
 
 #include "replay/engine.hpp"
 #include "replay/pending.hpp"
@@ -130,11 +131,13 @@ TEST(PendingTableT, BoundedUnderSustainedLoss) {
 // Echo UDP responder: answers every query by echoing the payload with QR
 // set. Loss is injected on the engine side by the ldp::fault layer, so the
 // drop pattern is seed-deterministic instead of depending on responder
-// receive order.
+// receive order. With `hold_until` > 0 the first replies are held back until
+// that many queries have arrived, which forces those queries to be in
+// flight together however the querier spreads them over its sends.
 // ---------------------------------------------------------------------------
 class EchoUdpResponder {
  public:
-  EchoUdpResponder() {
+  explicit EchoUdpResponder(uint64_t hold_until = 0) : hold_until_(hold_until) {
     fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
     sockaddr_in sa{};
     sa.sin_family = AF_INET;
@@ -162,6 +165,11 @@ class EchoUdpResponder {
 
  private:
   void run() {
+    struct Held {
+      std::vector<uint8_t> reply;
+      sockaddr_in to;
+    };
+    std::vector<Held> held;
     uint8_t buf[4096];
     while (!stop_.load()) {
       sockaddr_in from{};
@@ -169,13 +177,18 @@ class EchoUdpResponder {
       ssize_t n = ::recvfrom(fd_, buf, sizeof(buf), 0,
                              reinterpret_cast<sockaddr*>(&from), &len);
       if (n < 0) continue;  // timeout: re-check stop flag
-      received_.fetch_add(1);
+      uint64_t seen = received_.fetch_add(1) + 1;
       if (n >= 3) buf[2] |= 0x80;  // QR: make it a response
-      ::sendto(fd_, buf, static_cast<size_t>(n), 0,
-               reinterpret_cast<sockaddr*>(&from), len);
+      held.push_back({std::vector<uint8_t>(buf, buf + n), from});
+      if (seen < hold_until_) continue;
+      for (const auto& h : held)
+        ::sendto(fd_, h.reply.data(), h.reply.size(), 0,
+                 reinterpret_cast<const sockaddr*>(&h.to), sizeof(h.to));
+      held.clear();
     }
   }
 
+  const uint64_t hold_until_;
   int fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
@@ -287,9 +300,12 @@ TEST(QueryLifecycleT, RetryRecoversDroppedQueries) {
 }
 
 // Two same-source queries that share a DNS id must both stay matchable:
-// the old map-clobber behaviour orphaned the first one permanently.
+// the old map-clobber behaviour orphaned the first one permanently. The
+// responder holds its replies until both queries have arrived, so the two
+// are in flight together even when the querier sends them in separate
+// rounds (an instant echo could answer the first before the second left).
 TEST(QueryLifecycleT, DuplicateIdsBothAnswered) {
-  EchoUdpResponder responder;  // clean link: no fault spec configured
+  EchoUdpResponder responder(/*hold_until=*/2);  // clean link: no fault spec
 
   std::vector<TraceRecord> trace;
   IpAddr client{Ip4{10, 1, 1, 1}};

@@ -1,6 +1,7 @@
 // End-to-end tests of the distributed query engine over real loopback
 // sockets: timing fidelity (the §4.2 claims at small scale), fast mode,
-// TCP connection reuse, same-source stickiness, and response matching.
+// TCP connection reuse, same-source stickiness, response matching, the
+// controller lookahead and report merging.
 #include <gtest/gtest.h>
 
 #include "replay/engine.hpp"
@@ -117,6 +118,80 @@ TEST(QueryEngineT, FastModeIgnoresTraceTiming) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->queries_sent, trace.size());
   EXPECT_LT(mono_now_ns() - start, 5 * kSecond);
+}
+
+// The controller hands a timed record off no earlier than the lookahead
+// before its deadline, so a querier's schedule holds a window of the trace,
+// not the rest of it. The live mutator runs on the controller just before
+// each handoff, so the stamp taken for record k+1 comes after record k was
+// handed off: it must not precede record k's deadline minus the lookahead.
+TEST(QueryEngineT, TimedHandoffWaitsForTheLookahead) {
+  auto bg = server::BackgroundServer::start(wildcard_server());
+  ASSERT_TRUE(bg.ok());
+
+  synth::FixedTraceSpec spec;
+  spec.interarrival_ns = 5 * kMilli;
+  spec.duration_ns = kSecond;  // 200 queries, 20 lookahead windows long
+  spec.client_count = 4;
+  auto trace = synth::make_fixed_trace(spec);
+
+  std::vector<TimeNs> stamps;
+  mutate::MutatorPipeline stamp;
+  stamp.edit_record([&stamps](TraceRecord&) { stamps.push_back(mono_now_ns()); });
+
+  EngineConfig cfg;
+  cfg.server = (*bg)->endpoint();
+  cfg.live_mutator = &stamp;
+  ReplayClock clock;
+  clock.start(trace.front().timestamp, mono_now_ns() + 100 * kMilli);
+  QueryEngine engine(cfg);
+  auto report = engine.replay(trace, &clock);
+  ASSERT_TRUE(report.ok()) << report.error().message;
+
+  ASSERT_EQ(stamps.size(), trace.size());
+  for (size_t k = 0; k + 1 < trace.size(); ++k)
+    EXPECT_GE(stamps[k + 1],
+              clock.deadline_for(trace[k].timestamp) - kControllerLookahead)
+        << "record " << k << " handed off before its lookahead window";
+  EXPECT_EQ(report->queries_sent, trace.size());
+  EXPECT_EQ(report->responses_received, trace.size());
+  EXPECT_EQ(report->send_errors, 0u);
+}
+
+// The first report merged into an empty one hands over its send records
+// as they were; later ones append after them.
+TEST(EngineReportT, MergeIntoEmptyKeepsSends) {
+  auto send = [](TimeNs trace_time, TimeNs send_time, uint32_t querier) {
+    SendRecord sr;
+    sr.trace_time = trace_time;
+    sr.send_time = send_time;
+    sr.latency = trace_time % 2 == 0 ? 3 * kMilli : -1;
+    sr.source = IpAddr{Ip4{10, 0, 0, static_cast<uint8_t>(querier)}};
+    sr.querier = querier;
+    sr.outcome = sr.latency >= 0 ? QueryOutcome::Answered : QueryOutcome::TimedOut;
+    return sr;
+  };
+  auto same = [](const SendRecord& a, const SendRecord& b) {
+    return a.trace_time == b.trace_time && a.send_time == b.send_time &&
+           a.latency == b.latency && a.source == b.source &&
+           a.querier == b.querier && a.retries == b.retries &&
+           a.outcome == b.outcome;
+  };
+  EngineReport first, second;
+  for (TimeNs t = 1; t <= 5; ++t) first.sends.push_back(send(t, 100 + t, 0));
+  for (TimeNs t = 6; t <= 8; ++t) second.sends.push_back(send(t, 100 + t, 1));
+  std::vector<SendRecord> expected = first.sends;
+  expected.insert(expected.end(), second.sends.begin(), second.sends.end());
+
+  EngineReport merged;
+  merged.merge_from(std::move(first));
+  ASSERT_EQ(merged.sends.size(), 5u);
+  for (size_t i = 0; i < 5; ++i) EXPECT_TRUE(same(merged.sends[i], expected[i])) << i;
+  EXPECT_EQ(merged.replay_start, 101);  // lowered to the first send
+  merged.merge_from(std::move(second));
+  ASSERT_EQ(merged.sends.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i)
+    EXPECT_TRUE(same(merged.sends[i], expected[i])) << i;
 }
 
 TEST(QueryEngineT, TcpConnectionsReusedPerSource) {

@@ -3,6 +3,8 @@
 // helpers, and Table-1 statistics.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "trace/binary.hpp"
 #include "trace/pcap.hpp"
 #include "trace/stats.hpp"
@@ -122,6 +124,41 @@ TEST(Pcap, FileSaveLoad) {
   auto all = reader->read_all();
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->size(), 10u);
+}
+
+// open() maps the file; its errors must stay the ones a copying load gave.
+TEST(Pcap, OpenReportsMissingEmptyAndTruncatedFiles) {
+  std::string dir = ::testing::TempDir();
+  auto missing = PcapReader::open(dir + "/ldp_no_such_file.pcap");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_NE(missing.error().message.find("cannot open"), std::string::npos);
+
+  std::string empty = dir + "/ldp_empty.pcap";
+  std::fclose(std::fopen(empty.c_str(), "wb"));
+  EXPECT_FALSE(PcapReader::open(empty).ok());
+
+  PcapWriter w;
+  for (int i = 0; i < 3; ++i) w.add(sample_record(i * kMilli));
+  auto bytes = std::move(w).take();
+  bytes.resize(bytes.size() - 5);  // cut into the last packet
+  std::string cut = dir + "/ldp_truncated.pcap";
+  std::FILE* f = std::fopen(cut.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+  auto reader = PcapReader::open(cut);
+  ASSERT_TRUE(reader.ok());
+  auto all = reader->read_all();
+  ASSERT_FALSE(all.ok());
+  EXPECT_EQ(all.error().message, "truncated pcap packet");
+  // The same bytes handed over in memory read the same way.
+  auto in_memory = PcapReader::from_bytes(bytes);
+  ASSERT_TRUE(in_memory.ok());
+  auto first = in_memory->next();
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first->has_value());
+  EXPECT_EQ(**first, sample_record(0));
+  EXPECT_FALSE(in_memory->read_all().ok());
 }
 
 TEST(Checksum, KnownIpHeader) {
@@ -280,6 +317,14 @@ TEST(Binary, FileSaveLoad) {
   auto all = reader->read_all();
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->size(), 100u);
+}
+
+TEST(Binary, OpenReportsMissingAndEmptyFiles) {
+  std::string dir = ::testing::TempDir();
+  EXPECT_FALSE(BinaryReader::open(dir + "/ldp_no_such_file.ldpb").ok());
+  std::string empty = dir + "/ldp_empty.ldpb";
+  std::fclose(std::fopen(empty.c_str(), "wb"));
+  EXPECT_FALSE(BinaryReader::open(empty).ok());
 }
 
 TEST(Stats, ComputesTable1Columns) {
