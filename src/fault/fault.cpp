@@ -11,17 +11,6 @@
 
 namespace ldp::fault {
 
-void ImpairmentCounters::merge(const ImpairmentCounters& o) {
-  processed += o.processed;
-  dropped += o.dropped;
-  blackholed += o.blackholed;
-  flap_dropped += o.flap_dropped;
-  duplicated += o.duplicated;
-  corrupted += o.corrupted;
-  reordered += o.reordered;
-  delayed += o.delayed;
-}
-
 std::string ImpairmentCounters::summary() const {
   std::ostringstream out;
   out << "processed " << processed << "  drop " << dropped << "  blackhole "

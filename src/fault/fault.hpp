@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "util/clock.hpp"
+#include "util/metrics.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
 
@@ -46,7 +47,20 @@ struct ImpairmentCounters {
 
   uint64_t lost() const { return dropped + blackholed + flap_dropped; }
 
-  void merge(const ImpairmentCounters& o);
+  /// The one list of these counters (see LifecycleCounters::fields).
+  template <class F, class... R>
+  static void fields(F&& f, R&... r) {
+    f("processed", metrics::Merge::Sum, r.processed...);
+    f("dropped", metrics::Merge::Sum, r.dropped...);
+    f("blackholed", metrics::Merge::Sum, r.blackholed...);
+    f("flap_dropped", metrics::Merge::Sum, r.flap_dropped...);
+    f("duplicated", metrics::Merge::Sum, r.duplicated...);
+    f("corrupted", metrics::Merge::Sum, r.corrupted...);
+    f("reordered", metrics::Merge::Sum, r.reordered...);
+    f("delayed", metrics::Merge::Sum, r.delayed...);
+  }
+
+  void merge(const ImpairmentCounters& o) { metrics::merge_fields(*this, o); }
   bool operator==(const ImpairmentCounters& o) const = default;
 
   /// "drop 12  dup 3 ..." single-line report for tools and tests.

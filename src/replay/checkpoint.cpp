@@ -2,9 +2,11 @@
 
 #include <array>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "util/base64.hpp"
@@ -26,12 +28,6 @@ void fnv_mix(uint64_t& h, uint64_t v) {
   }
 }
 
-std::string hexdouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
 }  // namespace
 
 void TraceFingerprint::add(const trace::TraceRecord& rec) {
@@ -51,57 +47,112 @@ uint64_t trace_fingerprint(const std::vector<trace::TraceRecord>& trace) {
   return fp.value();
 }
 
+void write_counters(std::ostream& os, const EngineReport& r) {
+  EngineReport::fields(
+      [&](const char* name, metrics::Merge, const auto& v) {
+        os << "counter " << name << " " << v << "\n";
+      },
+      r);
+  const auto& h = r.latency_hist;
+  char sum[64];
+  std::snprintf(sum, sizeof(sum), "%a", h.sum());
+  os << "hist " << h.count() << " " << h.min() << " " << h.max() << " " << sum;
+  for (size_t b = 0; b < metrics::Histogram::kBuckets; ++b)
+    os << " " << h.bucket_value(b);
+  os << "\n";
+}
+
+namespace {
+
+/// One `counter` or `hist` line into `r`; false if `key` is neither.
+/// `seen` collects the names read (and "hist") for the missing check.
+Result<bool> read_counter(const std::string& key, std::istream& ls,
+                          EngineReport& r, std::set<std::string>& seen) {
+  if (key == "counter") {
+    std::string name;
+    ls >> name;
+    bool known = false, parsed = false;
+    EngineReport::fields(
+        [&](const char* declared, metrics::Merge, auto& v) {
+          if (name != declared) return;
+          known = true;
+          parsed = static_cast<bool>(ls >> v);
+        },
+        r);
+    if (!known) return Err("unknown counter '" + name + "'");
+    if (!parsed) return Err("malformed counter '" + name + "'");
+    if (!seen.insert(name).second) return Err("duplicate counter '" + name + "'");
+    return true;
+  }
+  if (key != "hist") return false;
+  uint64_t count = 0;
+  int64_t min = 0, max = 0;
+  std::string sum_text;
+  std::array<uint64_t, metrics::Histogram::kBuckets> buckets{};
+  if (!(ls >> count >> min >> max >> sum_text)) return Err("malformed histogram");
+  char* end = nullptr;
+  double sum = std::strtod(sum_text.c_str(), &end);
+  if (end == sum_text.c_str() || *end != '\0')
+    return Err("bad histogram sum '" + sum_text + "'");
+  for (auto& b : buckets) ls >> b;
+  if (!ls) return Err("malformed histogram");
+  if (!seen.insert(key).second) return Err("duplicate histogram");
+  r.latency_hist.restore_state(buckets, count, min, max, sum);
+  return true;
+}
+
+}  // namespace
+
+Result<void> read_keyed(const std::string& text, std::string_view magic,
+                        const std::string& what, EngineReport& counters,
+                        const KeyedRecordFn& record) {
+  std::istringstream is(text);
+  std::string line;
+  if (!std::getline(is, line) || line != magic)
+    return Err("not a " + what + " (bad magic)");
+  std::set<std::string> seen;
+  while (std::getline(is, line)) {
+    if (line.empty()) continue;
+    std::istringstream ls(line);
+    std::string key;
+    ls >> key;
+    if (key == "end") {
+      std::string missing;
+      EngineReport::fields([&](const char* name, metrics::Merge) {
+        if (missing.empty() && seen.count(name) == 0) missing = name;
+      });
+      if (!missing.empty()) return Err(what + ": missing counter '" + missing + "'");
+      if (seen.count("hist") == 0) return Err(what + ": missing histogram");
+      return Ok();
+    }
+    auto counter = read_counter(key, ls, counters, seen);
+    if (!counter.ok()) return Err(what + ": " + counter.error().message);
+    if (!*counter) LDP_TRY_VOID(record(key, ls));
+    if (ls.fail()) return Err(what + ": malformed '" + key + "' line");
+  }
+  return Err(what + " truncated (no end marker)");
+}
+
 std::string serialize_checkpoint(const CheckpointState& state) {
   std::ostringstream os;
-  {
-    const EngineReport& p = state.partial;
-    os << kMagic << "\n";
-    os << "trace " << state.trace_hash << " " << state.trace_queries << "\n";
-    os << "counters " << p.queries_sent << " " << p.responses_received << " "
-       << p.send_errors << " " << p.connections_opened << " "
-       << p.mutator_dropped << " " << p.max_in_flight << " "
-       << p.querier_failures << " " << p.sources_reassigned << " "
-       << p.shed_queries << " " << p.queue_hwm << " " << p.clamp_stall_ns
-       << "\n";
-    const auto& l = p.lifecycle;
-    os << "lifecycle " << l.timeouts << " " << l.retries << " " << l.expired
-       << " " << l.duplicate_ids << " " << l.tcp_reconnects << " "
-       << l.answered_after_retry << " " << l.deferred_sends << " "
-       << l.unmatched_responses << " " << l.socket_errors << " "
-       << l.adopted_resends << "\n";
-    const auto& im = p.impairments;
-    os << "impair " << im.processed << " " << im.dropped << " "
-       << im.blackholed << " " << im.flap_dropped << " " << im.duplicated
-       << " " << im.corrupted << " " << im.reordered << " " << im.delayed
-       << "\n";
-    os << "hist " << p.latency_hist.count() << " " << p.latency_hist.min()
-       << " " << p.latency_hist.max() << " "
-       << hexdouble(p.latency_hist.sum()) << "\n";
-    for (size_t b = 0; b < metrics::Histogram::kBuckets; ++b) {
-      if (p.latency_hist.bucket_value(b) > 0)
-        os << "bucket " << b << " " << p.latency_hist.bucket_value(b) << "\n";
-    }
-    for (const auto& [ip, n] : state.sent) os << "sent " << ip << " " << n << "\n";
-    for (const auto& [name, pos] : state.streams) {
-      os << "stream " << name << " " << pos.packets << " "
-         << pos.corrupt_words << " ";
-      if (pos.origin_offset == fault::FaultStream::kNoOrigin)
-        os << "none";
-      else
-        os << pos.origin_offset;
-      os << "\n";
-    }
-    for (const auto& pq : state.pending) {
-      os << "pending " << pq.record.source.to_string() << " "
-         << transport_name(pq.transport) << " " << pq.retries_used << " "
-         << pq.record.retries << " " << pq.record.trace_time << " "
-         << pq.record.querier << " "
-         << (pq.payload.empty() ? std::string("-")
-                                : base64_encode(pq.payload))
-         << "\n";
-    }
-    os << "end\n";
+  os << kMagic << "\n";
+  os << "trace " << state.trace_hash << " " << state.trace_queries << "\n";
+  write_counters(os, state.partial);
+  for (const auto& [ip, n] : state.sent) os << "sent " << ip << " " << n << "\n";
+  for (const auto& [name, pos] : state.streams) {
+    bool none = pos.origin_offset == fault::FaultStream::kNoOrigin;
+    os << "stream " << name << " " << pos.packets << " " << pos.corrupt_words
+       << " " << (none ? "none" : std::to_string(pos.origin_offset)) << "\n";
   }
+  for (const auto& pq : state.pending) {
+    os << "pending " << pq.record.source.to_string() << " "
+       << transport_name(pq.transport) << " " << pq.retries_used << " "
+       << pq.record.retries << " " << pq.record.trace_time << " "
+       << pq.record.querier << " "
+       << (pq.payload.empty() ? std::string("-") : base64_encode(pq.payload))
+       << "\n";
+  }
+  os << "end\n";
   return os.str();
 }
 
@@ -121,54 +172,10 @@ Result<void> save_checkpoint(const std::string& path,
 }
 
 Result<CheckpointState> parse_checkpoint(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || line != kMagic)
-    return Err("not a checkpoint (bad magic)");
-
   CheckpointState st;
-  std::array<uint64_t, metrics::Histogram::kBuckets> buckets{};
-  uint64_t hist_count = 0;
-  int64_t hist_min = 0, hist_max = 0;
-  double hist_sum = 0;
-  bool saw_end = false;
-
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key;
-    if (key == "end") {
-      saw_end = true;
-      break;
-    } else if (key == "trace") {
+  auto record = [&](const std::string& key, std::istream& ls) -> Result<void> {
+    if (key == "trace") {
       ls >> st.trace_hash >> st.trace_queries;
-    } else if (key == "counters") {
-      EngineReport& p = st.partial;
-      ls >> p.queries_sent >> p.responses_received >> p.send_errors >>
-          p.connections_opened >> p.mutator_dropped >> p.max_in_flight >>
-          p.querier_failures >> p.sources_reassigned >> p.shed_queries >>
-          p.queue_hwm >> p.clamp_stall_ns;
-    } else if (key == "lifecycle") {
-      auto& l = st.partial.lifecycle;
-      ls >> l.timeouts >> l.retries >> l.expired >> l.duplicate_ids >>
-          l.tcp_reconnects >> l.answered_after_retry >> l.deferred_sends >>
-          l.unmatched_responses >> l.socket_errors >> l.adopted_resends;
-    } else if (key == "impair") {
-      auto& im = st.partial.impairments;
-      ls >> im.processed >> im.dropped >> im.blackholed >> im.flap_dropped >>
-          im.duplicated >> im.corrupted >> im.reordered >> im.delayed;
-    } else if (key == "hist") {
-      std::string sum_text;
-      ls >> hist_count >> hist_min >> hist_max >> sum_text;
-      hist_sum = std::strtod(sum_text.c_str(), nullptr);
-    } else if (key == "bucket") {
-      size_t b = 0;
-      uint64_t v = 0;
-      ls >> b >> v;
-      if (b >= metrics::Histogram::kBuckets)
-        return Err("checkpoint histogram bucket out of range");
-      buckets[b] = v;
     } else if (key == "sent") {
       std::string ip;
       uint64_t n = 0;
@@ -178,7 +185,13 @@ Result<CheckpointState> parse_checkpoint(const std::string& text) {
       std::string name, offset;
       fault::FaultStream::Position pos;
       ls >> name >> pos.packets >> pos.corrupt_words >> offset;
-      if (offset != "none") pos.origin_offset = std::strtoll(offset.c_str(), nullptr, 10);
+      if (offset != "none") {
+        auto [end, ec] = std::from_chars(
+            offset.data(), offset.data() + offset.size(), pos.origin_offset);
+        if (ec != std::errc() || end != offset.data() + offset.size())
+          return Err("checkpoint stream " + name + ": bad origin offset '" +
+                     offset + "'");
+      }
       st.streams[name] = pos;
     } else if (key == "pending") {
       std::string ip, transport, b64;
@@ -201,11 +214,9 @@ Result<CheckpointState> parse_checkpoint(const std::string& text) {
     } else {
       return Err("checkpoint: unknown record '" + key + "'");
     }
-    if (ls.fail()) return Err("checkpoint: malformed '" + key + "' line");
-  }
-  if (!saw_end) return Err("checkpoint truncated (no end marker)");
-  st.partial.latency_hist.restore_state(buckets, hist_count, hist_min,
-                                        hist_max, hist_sum);
+    return Ok();
+  };
+  LDP_TRY_VOID(read_keyed(text, kMagic, "checkpoint", st.partial, record));
   return st;
 }
 

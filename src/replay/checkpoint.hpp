@@ -18,6 +18,8 @@
 // a kill mid-write leaves the previous snapshot intact.
 #pragma once
 
+#include <functional>
+#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -70,6 +72,26 @@ class TraceFingerprint {
  private:
   uint64_t h_ = 1469598103934665603ULL;  // FNV-1a offset basis
 };
+
+/// The keyed text in which both the checkpoint and the worker REPORT carry
+/// an EngineReport's counters: one `counter <name> <value>` line for each
+/// counter EngineReport::fields declares, and one
+/// `hist <count> <min> <max> <sum> <bucket 0> ... <bucket 64>` line for the
+/// latency histogram (the sum as a hex float, so it round-trips exactly).
+/// The span and the send records are not part of it.
+void write_counters(std::ostream& os, const EngineReport& r);
+
+/// Parse a keyed text payload: the `magic` first line, then one record per
+/// line up to `end`. Counter and histogram lines go into `counters`; every
+/// other line's key and the rest of the line go to `record`, which rejects
+/// keys it does not know. Version skew is an error that names the field: a
+/// counter this build does not declare, one given twice, or a declared one
+/// the text lacks. `what` names the payload in errors.
+using KeyedRecordFn =
+    std::function<Result<void>(const std::string& key, std::istream& rest)>;
+Result<void> read_keyed(const std::string& text, std::string_view magic,
+                        const std::string& what, EngineReport& counters,
+                        const KeyedRecordFn& record);
 
 /// The checkpoint wire form: the same line-oriented text the file holds.
 /// Split out from the file I/O so the distributed control channel can carry

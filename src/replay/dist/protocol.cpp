@@ -1,12 +1,9 @@
 #include "replay/dist/protocol.hpp"
 
-#include <array>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "net/socket.hpp"
+#include "replay/checkpoint.hpp"
 #include "replay/partition.hpp"
 
 namespace ldp::replay::dist {
@@ -14,14 +11,6 @@ namespace ldp::replay::dist {
 namespace {
 
 constexpr std::string_view kReportMagic = "ldp-report v1";
-
-// Hex float round-trips the histogram sum exactly (same trick as the
-// checkpoint writer).
-std::string hexdouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
 
 Result<void> check_line(const std::istringstream& ls, const char* what) {
   if (ls.fail()) return Err(std::string("control frame: malformed ") + what);
@@ -283,31 +272,8 @@ Result<ProgressMsg> parse_progress(const std::string& payload) {
 std::string encode_report(const EngineReport& r) {
   std::ostringstream os;
   os << kReportMagic << "\n";
-  os << "counters " << r.queries_sent << " " << r.responses_received << " "
-     << r.send_errors << " " << r.connections_opened << " "
-     << r.mutator_dropped << " " << r.max_in_flight << " "
-     << r.querier_failures << " " << r.sources_reassigned << " "
-     << r.shed_queries << " " << r.queue_hwm << " " << r.clamp_stall_ns
-     << "\n";
-  const auto& l = r.lifecycle;
-  os << "lifecycle " << l.timeouts << " " << l.retries << " " << l.expired
-     << " " << l.duplicate_ids << " " << l.tcp_reconnects << " "
-     << l.answered_after_retry << " " << l.deferred_sends << " "
-     << l.unmatched_responses << " " << l.socket_errors << " "
-     << l.adopted_resends << "\n";
-  const auto& im = r.impairments;
-  os << "impair " << im.processed << " " << im.dropped << " " << im.blackholed
-     << " " << im.flap_dropped << " " << im.duplicated << " " << im.corrupted
-     << " " << im.reordered << " " << im.delayed << "\n";
-  os << "dist " << r.worker_crashes << " " << r.workers_respawned << " "
-     << r.max_drift_ns << "\n";
+  write_counters(os, r);
   os << "span " << r.replay_start << " " << r.replay_end << "\n";
-  os << "hist " << r.latency_hist.count() << " " << r.latency_hist.min() << " "
-     << r.latency_hist.max() << " " << hexdouble(r.latency_hist.sum()) << "\n";
-  for (size_t b = 0; b < metrics::Histogram::kBuckets; ++b) {
-    if (r.latency_hist.bucket_value(b) > 0)
-      os << "bucket " << b << " " << r.latency_hist.bucket_value(b) << "\n";
-  }
   for (const auto& sr : r.sends) {
     os << "send " << sr.trace_time << " " << sr.send_time << " " << sr.latency
        << " " << sr.source.to_string() << " " << sr.querier << " "
@@ -318,53 +284,10 @@ std::string encode_report(const EngineReport& r) {
 }
 
 Result<EngineReport> parse_report(const std::string& payload) {
-  std::istringstream is(payload);
-  std::string line;
-  if (!std::getline(is, line) || line != kReportMagic)
-    return Err("not a worker report (bad magic)");
   EngineReport r;
-  std::array<uint64_t, metrics::Histogram::kBuckets> buckets{};
-  uint64_t hist_count = 0;
-  int64_t hist_min = 0, hist_max = 0;
-  double hist_sum = 0;
-  bool saw_end = false;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key;
-    if (key == "end") {
-      saw_end = true;
-      break;
-    } else if (key == "counters") {
-      ls >> r.queries_sent >> r.responses_received >> r.send_errors >>
-          r.connections_opened >> r.mutator_dropped >> r.max_in_flight >>
-          r.querier_failures >> r.sources_reassigned >> r.shed_queries >>
-          r.queue_hwm >> r.clamp_stall_ns;
-    } else if (key == "lifecycle") {
-      auto& l = r.lifecycle;
-      ls >> l.timeouts >> l.retries >> l.expired >> l.duplicate_ids >>
-          l.tcp_reconnects >> l.answered_after_retry >> l.deferred_sends >>
-          l.unmatched_responses >> l.socket_errors >> l.adopted_resends;
-    } else if (key == "impair") {
-      auto& im = r.impairments;
-      ls >> im.processed >> im.dropped >> im.blackholed >> im.flap_dropped >>
-          im.duplicated >> im.corrupted >> im.reordered >> im.delayed;
-    } else if (key == "dist") {
-      ls >> r.worker_crashes >> r.workers_respawned >> r.max_drift_ns;
-    } else if (key == "span") {
+  auto record = [&](const std::string& key, std::istream& ls) -> Result<void> {
+    if (key == "span") {
       ls >> r.replay_start >> r.replay_end;
-    } else if (key == "hist") {
-      std::string sum_text;
-      ls >> hist_count >> hist_min >> hist_max >> sum_text;
-      hist_sum = std::strtod(sum_text.c_str(), nullptr);
-    } else if (key == "bucket") {
-      size_t b = 0;
-      uint64_t v = 0;
-      ls >> b >> v;
-      if (b >= metrics::Histogram::kBuckets)
-        return Err("report histogram bucket out of range");
-      buckets[b] = v;
     } else if (key == "send") {
       SendRecord sr;
       std::string ip;
@@ -372,18 +295,19 @@ Result<EngineReport> parse_report(const std::string& payload) {
       ls >> sr.trace_time >> sr.send_time >> sr.latency >> ip >> sr.querier >>
           sr.retries >> outcome;
       auto addr = IpAddr::parse(ip);
-      if (!addr.ok()) return Err("report send: bad source " + ip);
+      if (!addr.ok()) return Err("worker report send: bad source " + ip);
       sr.source = *addr;
+      if (outcome < static_cast<int>(QueryOutcome::Pending) ||
+          outcome > static_cast<int>(QueryOutcome::Errored))
+        return Err("worker report send: bad outcome " + std::to_string(outcome));
       sr.outcome = static_cast<QueryOutcome>(outcome);
       r.sends.push_back(sr);
     } else {
-      return Err("report: unknown record '" + key + "'");
+      return Err("worker report: unknown record '" + key + "'");
     }
-    LDP_TRY_VOID(check_line(ls, "REPORT"));
-  }
-  if (!saw_end) return Err("report truncated (no end marker)");
-  r.latency_hist.restore_state(buckets, hist_count, hist_min, hist_max,
-                               hist_sum);
+    return Ok();
+  };
+  LDP_TRY_VOID(read_keyed(payload, kReportMagic, "worker report", r, record));
   return r;
 }
 

@@ -138,9 +138,9 @@ Result<ProgressMsg> parse_progress(const std::string& payload);
 // HEARTBEAT's payload is the worker clock as decimal text (informational);
 // CHECKPOINT's payload is a serialized checkpoint verbatim.
 
-/// REPORT: the worker's final EngineReport. Counters ride in the checkpoint
-/// line format; per-send records (the fig6 fidelity data) are appended one
-/// per line. send_time/trace_time stay absolute — worker and controller
+/// REPORT: the worker's final EngineReport. Counters and the histogram ride
+/// in the checkpoint's keyed counter text (write_counters), followed by the
+/// span and the per-send records (the fig6 fidelity data), one per line. send_time/trace_time stay absolute — worker and controller
 /// share CLOCK_MONOTONIC on one host, which is also what makes
 /// replay_start usable as the barrier-alignment ground truth.
 std::string encode_report(const EngineReport& r);

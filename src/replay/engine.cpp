@@ -61,31 +61,17 @@ uint16_t dns_id_of(std::span<const uint8_t> wire) {
 }
 
 /// Give a send that is still pending its terminal outcome, counted expired
-/// in `report`.
-void expire_pending(SendRecord& sr, QueryOutcome outcome, EngineReport& report) {
-  if (sr.outcome != QueryOutcome::Pending) return;
+/// in `report`. False if it already had one.
+bool expire_pending(SendRecord& sr, QueryOutcome outcome, EngineReport& report) {
+  if (sr.outcome != QueryOutcome::Pending) return false;
   sr.outcome = outcome;
   ++report.lifecycle.expired;
+  return true;
 }
 }  // namespace
 
 void EngineReport::merge_from(EngineReport&& other) {
-  queries_sent += other.queries_sent;
-  responses_received += other.responses_received;
-  send_errors += other.send_errors;
-  connections_opened += other.connections_opened;
-  mutator_dropped += other.mutator_dropped;
-  max_in_flight = std::max(max_in_flight, other.max_in_flight);
-  querier_failures += other.querier_failures;
-  sources_reassigned += other.sources_reassigned;
-  shed_queries += other.shed_queries;
-  queue_hwm = std::max(queue_hwm, other.queue_hwm);
-  clamp_stall_ns += other.clamp_stall_ns;
-  worker_crashes += other.worker_crashes;
-  workers_respawned += other.workers_respawned;
-  max_drift_ns = std::max(max_drift_ns, other.max_drift_ns);
-  lifecycle.merge(other.lifecycle);
-  impairments.merge(other.impairments);
+  metrics::merge_fields(*this, other);
   latency_hist.merge(other.latency_hist);
   replay_end = std::max(replay_end, other.replay_end);
   // A resumed run merges a checkpoint's counters whose timing fields are
@@ -450,13 +436,10 @@ class QueryEngine::Querier {
     if (!config_.checkpointing()) return;
     QuerierSnapshot s;
     s.valid = true;
-    s.partial.queries_sent = report_.queries_sent;
-    s.partial.responses_received = report_.responses_received;
-    s.partial.send_errors = report_.send_errors;
-    s.partial.connections_opened = report_.connections_opened;
-    s.partial.max_in_flight = report_.max_in_flight;
-    s.partial.shed_queries = report_.shed_queries;
-    s.partial.lifecycle = report_.lifecycle;
+    metrics::merge_fields(s.partial, report_);  // into empty: a copy
+    // The impairments come from the streams alone: the final snapshot runs
+    // after finalize_report has folded them into report_ as well.
+    s.partial.impairments = {};
     s.partial.latency_hist = report_.latency_hist;
     for (const auto& [name, stream] : fault_streams_) {
       s.partial.impairments.merge(stream->counters());
@@ -1128,9 +1111,10 @@ class QueryEngine::Querier {
     // Queries still pending at shutdown (drain_grace fired before their
     // expiry) are abandoned: counted, never silently lost.
     auto abandon = [this](PendingQuery& pq) {
-      expire_pending(record_of(pq),
-                     pq.wire_sent ? QueryOutcome::TimedOut : QueryOutcome::Errored,
-                     report_);
+      if (expire_pending(record_of(pq),
+                         pq.wire_sent ? QueryOutcome::TimedOut : QueryOutcome::Errored,
+                         report_))
+        ++report_.lifecycle.abandoned;
     };
     for (auto& [source, us] : udp_socks_)
       for (auto& pq : us->pending.drain()) abandon(pq);

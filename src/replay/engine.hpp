@@ -209,10 +209,39 @@ struct EngineReport {
   }
   /// Queries that never produced an answer (timed out, errored, abandoned).
   uint64_t lost() const { return lifecycle.expired; }
+  /// Every sent query reached a terminal outcome: answered or expired.
+  bool conserved() const {
+    return responses_received + lifecycle.expired == queries_sent;
+  }
+
+  /// The one list of this report's counters, the lifecycle and impairment
+  /// bundles included (see LifecycleCounters::fields). Merge, checkpoint
+  /// and the worker REPORT all walk it; the span, the histogram and the
+  /// send records are handled on their own.
+  template <class F, class... R>
+  static void fields(F&& f, R&... r) {
+    f("queries_sent", metrics::Merge::Sum, r.queries_sent...);
+    f("responses_received", metrics::Merge::Sum, r.responses_received...);
+    f("send_errors", metrics::Merge::Sum, r.send_errors...);
+    f("connections_opened", metrics::Merge::Sum, r.connections_opened...);
+    f("mutator_dropped", metrics::Merge::Sum, r.mutator_dropped...);
+    f("max_in_flight", metrics::Merge::Max, r.max_in_flight...);
+    f("querier_failures", metrics::Merge::Sum, r.querier_failures...);
+    f("sources_reassigned", metrics::Merge::Sum, r.sources_reassigned...);
+    f("shed_queries", metrics::Merge::Sum, r.shed_queries...);
+    f("queue_hwm", metrics::Merge::Max, r.queue_hwm...);
+    f("clamp_stall_ns", metrics::Merge::Sum, r.clamp_stall_ns...);
+    f("worker_crashes", metrics::Merge::Sum, r.worker_crashes...);
+    f("workers_respawned", metrics::Merge::Sum, r.workers_respawned...);
+    f("max_drift_ns", metrics::Merge::Max, r.max_drift_ns...);
+    metrics::LifecycleCounters::fields(f, r.lifecycle...);
+    fault::ImpairmentCounters::fields(f, r.impairments...);
+  }
 
   /// Fold another report (one querier's, one distributor group's, one
-  /// worker's) into this one: counters sum, histograms merge, send
-  /// records append, and replay_start/replay_end widen to cover both.
+  /// worker's) into this one: counters merge by their declared kind,
+  /// histograms merge, send records append, and replay_start/replay_end
+  /// widen to cover both.
   void merge_from(EngineReport&& other);
 };
 

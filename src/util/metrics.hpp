@@ -1,10 +1,11 @@
-// Lightweight replay metrics: a log2-bucketed latency histogram and the
-// query-lifecycle counter bundle the engine threads through
-// Querier → distributor group → QueryEngine into EngineReport. Both types are
-// cheaply mergeable so per-querier instances can be combined without locks
-// (each querier owns its own copy; merging happens after the threads join).
+// Lightweight replay metrics: a log2-bucketed latency histogram, the
+// counter merge rule and the query-lifecycle counter bundle the engine
+// threads through Querier → distributor group → QueryEngine into
+// EngineReport, all mergeable without locks (each querier owns its copy;
+// merging happens after the threads join).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -58,6 +59,21 @@ class Histogram {
   double sum_ = 0;
 };
 
+/// How two partial values of one counter combine: event counts add up,
+/// high-water marks keep the larger.
+enum class Merge : uint8_t { Sum, Max };
+
+/// Fold `from` into `into` counter by counter, each by its declared Merge
+/// kind. T is any counter bundle with a static `fields` list.
+template <class T>
+void merge_fields(T& into, const T& from) {
+  T::fields(
+      [](const char*, Merge kind, auto& v, const auto& o) {
+        v = kind == Merge::Sum ? v + o : std::max(v, o);
+      },
+      into, from);
+}
+
 /// Per-query lifecycle accounting (sent → answered / timed-out / errored).
 /// Every counter is an event count, not a query count, except `expired`
 /// which counts queries permanently given up on; invariants the tests rely
@@ -68,6 +84,8 @@ struct LifecycleCounters {
   uint64_t retries = 0;              ///< retransmits / resends actually issued
   uint64_t expired = 0;              ///< queries abandoned (timeout budget spent,
                                      ///< connection lost, or engine shutdown)
+  uint64_t abandoned = 0;            ///< of `expired`: still pending when the
+                                     ///< drain grace ended the run
   uint64_t duplicate_ids = 0;        ///< DNS-ID collisions among live queries
   uint64_t tcp_reconnects = 0;       ///< connections re-established to resend
   uint64_t answered_after_retry = 0; ///< answers that needed ≥1 retransmit
@@ -77,18 +95,26 @@ struct LifecycleCounters {
   uint64_t adopted_resends = 0;      ///< in-flight queries resent after a querier
                                      ///< failure or a checkpoint resume
 
-  void merge(const LifecycleCounters& o) {
-    timeouts += o.timeouts;
-    retries += o.retries;
-    expired += o.expired;
-    duplicate_ids += o.duplicate_ids;
-    tcp_reconnects += o.tcp_reconnects;
-    answered_after_retry += o.answered_after_retry;
-    deferred_sends += o.deferred_sends;
-    unmatched_responses += o.unmatched_responses;
-    socket_errors += o.socket_errors;
-    adopted_resends += o.adopted_resends;
+  /// The one list of these counters: calls f(name, kind, r.counter...) for
+  /// each counter of every bundle in `r` at once (one bundle to read or
+  /// write it, two to merge). A counter declared here is merged,
+  /// checkpointed and carried in the worker REPORT with no other change.
+  template <class F, class... R>
+  static void fields(F&& f, R&... r) {
+    f("timeouts", Merge::Sum, r.timeouts...);
+    f("retries", Merge::Sum, r.retries...);
+    f("expired", Merge::Sum, r.expired...);
+    f("abandoned", Merge::Sum, r.abandoned...);
+    f("duplicate_ids", Merge::Sum, r.duplicate_ids...);
+    f("tcp_reconnects", Merge::Sum, r.tcp_reconnects...);
+    f("answered_after_retry", Merge::Sum, r.answered_after_retry...);
+    f("deferred_sends", Merge::Sum, r.deferred_sends...);
+    f("unmatched_responses", Merge::Sum, r.unmatched_responses...);
+    f("socket_errors", Merge::Sum, r.socket_errors...);
+    f("adopted_resends", Merge::Sum, r.adopted_resends...);
   }
+
+  void merge(const LifecycleCounters& o) { merge_fields(*this, o); }
 };
 
 }  // namespace ldp::metrics

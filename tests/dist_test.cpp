@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -221,6 +223,97 @@ TEST(DistProtocol, ReportRoundTripPreservesCountersAndSends) {
   EXPECT_EQ(back->sends[0].outcome, sr.outcome);
 
   EXPECT_FALSE(replay::dist::parse_report("not a report").ok());
+
+  // A send outcome outside QueryOutcome is refused, not cast blindly.
+  std::string text = replay::dist::encode_report(r);
+  size_t eol = text.find('\n', text.find("\nsend ") + 1);
+  text[eol - 1] = '7';
+  auto bad_outcome = replay::dist::parse_report(text);
+  ASSERT_FALSE(bad_outcome.ok());
+  EXPECT_NE(bad_outcome.error().message.find("outcome"), std::string::npos);
+}
+
+// Driven by EngineReport::fields itself, so a counter declared there is
+// covered here with no test change: each counter, set to its own value,
+// survives the worker REPORT and the checkpoint, merge_from folds it by
+// its declared kind, and a text missing it (or naming a counter this build
+// does not declare) is refused with the name in the error.
+TEST(DistProtocol, EveryDeclaredCounterRoundTripsAndMerges) {
+  using replay::EngineReport;
+  auto set_each = [](EngineReport& rep, uint64_t scale) {
+    uint64_t i = 0;
+    EngineReport::fields(
+        [&](const char*, metrics::Merge, auto& v) {
+          v = static_cast<std::remove_reference_t<decltype(v)>>(++i * scale);
+        },
+        rep);
+  };
+  EngineReport r;
+  set_each(r, 7);
+  r.latency_hist.add(3 * kMilli);
+  r.latency_hist.add(40 * kMilli);
+  std::vector<std::string> names;
+  EngineReport::fields([&](const char* name, metrics::Merge) {
+    for (const auto& seen : names) EXPECT_NE(seen, name) << "declared twice";
+    names.push_back(name);
+  });
+  EXPECT_GE(names.size(), 33u);
+
+  auto expect_same = [&](const EngineReport& back, const char* via) {
+    EngineReport::fields(
+        [&](const char* name, metrics::Merge, const auto& want,
+            const auto& got) { EXPECT_EQ(got, want) << name << " via " << via; },
+        r, back);
+    EXPECT_EQ(back.latency_hist.count(), r.latency_hist.count()) << via;
+    EXPECT_EQ(back.latency_hist.sum(), r.latency_hist.sum()) << via;
+    EXPECT_EQ(back.latency_hist.max(), r.latency_hist.max()) << via;
+  };
+  std::string report_text = replay::dist::encode_report(r);
+  auto report = replay::dist::parse_report(report_text);
+  ASSERT_TRUE(report.ok()) << report.error().message;
+  expect_same(*report, "REPORT");
+  replay::CheckpointState st;
+  st.partial = r;
+  std::string ckpt_text = replay::serialize_checkpoint(st);
+  auto ckpt = replay::parse_checkpoint(ckpt_text);
+  ASSERT_TRUE(ckpt.ok()) << ckpt.error().message;
+  expect_same(ckpt->partial, "checkpoint");
+
+  EngineReport b;
+  set_each(b, 1);
+  EngineReport merged = r;
+  EngineReport b_copy = b;
+  merged.merge_from(std::move(b_copy));
+  EngineReport::fields(
+      [](const char* name, metrics::Merge kind, const auto& got,
+         const auto& x, const auto& y) {
+        EXPECT_EQ(got, kind == metrics::Merge::Sum ? x + y : std::max(x, y))
+            << name;
+      },
+      merged, r, b);
+
+  auto expect_skew_refused = [&](const std::string& text, auto parse) {
+    for (const auto& name : names) {
+      std::string cut = text;
+      size_t at = cut.find("\ncounter " + name + " ");
+      ASSERT_NE(at, std::string::npos) << name;
+      cut.erase(at, cut.find('\n', at + 1) - at);
+      auto missing = parse(cut);
+      ASSERT_FALSE(missing.ok()) << name;
+      EXPECT_NE(missing.error().message.find("missing counter '" + name + "'"),
+                std::string::npos)
+          << missing.error().message;
+    }
+    std::string extra = text;
+    extra.insert(extra.find('\n') + 1, "counter no_such_counter 1\n");
+    auto unknown = parse(extra);
+    ASSERT_FALSE(unknown.ok());
+    EXPECT_NE(unknown.error().message.find("unknown counter 'no_such_counter'"),
+              std::string::npos)
+        << unknown.error().message;
+  };
+  expect_skew_refused(report_text, replay::dist::parse_report);
+  expect_skew_refused(ckpt_text, replay::parse_checkpoint);
 }
 
 // --- FrameReader -----------------------------------------------------------
@@ -328,6 +421,7 @@ TEST_F(DistReplay, TwoWorkersReplayEverythingOnce) {
   EXPECT_EQ(dr->report.responses_received, trace.size());
   EXPECT_EQ(dr->report.worker_crashes, 0u);
   EXPECT_EQ(dr->report.workers_respawned, 0u);
+  EXPECT_TRUE(dr->report.conserved());
   ASSERT_EQ(dr->workers.size(), 2u);
   EXPECT_TRUE(dr->any_misalign);
   // Same host, same clock: the barrier start lands within scheduling noise.
@@ -358,6 +452,8 @@ TEST_F(DistReplay, KillNineRespawnsAndResumesWithExactCounters) {
   EXPECT_EQ(killed->report.queries_sent, trace.size());
   EXPECT_EQ(killed->report.responses_received,
             clean->report.responses_received);
+  EXPECT_TRUE(clean->report.conserved());
+  EXPECT_TRUE(killed->report.conserved());
   std::remove(path.c_str());
 }
 
@@ -471,6 +567,9 @@ TEST_F(ShardedCheckpoint, PerShardFilesWrittenAndResumeMatchesUninterrupted) {
   ASSERT_TRUE(resumed.ok()) << resumed.error().message;
   EXPECT_EQ(resumed->queries_sent, uninterrupted->queries_sent);
   EXPECT_EQ(resumed->responses_received, uninterrupted->responses_received);
+  EXPECT_TRUE(uninterrupted->conserved());
+  EXPECT_TRUE(checkpointed->conserved());
+  EXPECT_TRUE(resumed->conserved());
 
   // A shard that died before its first snapshot (missing file) comes back
   // default-constructed and replays its slice from the start; totals are
@@ -485,6 +584,7 @@ TEST_F(ShardedCheckpoint, PerShardFilesWrittenAndResumeMatchesUninterrupted) {
   ASSERT_TRUE(resumed2.ok()) << resumed2.error().message;
   EXPECT_EQ(resumed2->queries_sent, uninterrupted->queries_sent);
   EXPECT_EQ(resumed2->responses_received, uninterrupted->responses_received);
+  EXPECT_TRUE(resumed2->conserved());
 
   for (size_t i = 0; i < 4; ++i)
     std::remove(replay::shard_checkpoint_path(ckpt, i).c_str());

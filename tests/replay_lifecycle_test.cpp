@@ -17,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include "replay/checkpoint.hpp"
+#include "replay/dist/protocol.hpp"
 #include "replay/engine.hpp"
 #include "replay/pending.hpp"
 #include "synth/generator.hpp"
@@ -513,6 +515,41 @@ TEST(QueryLifecycleT, TcpLossWithoutReconnectCountsExpired) {
   EXPECT_EQ(report->lifecycle.expired, 1u);
   EXPECT_EQ(report->lifecycle.tcp_reconnects, 0u);
   EXPECT_EQ(report->sends[0].outcome, QueryOutcome::Errored);
+}
+
+// A query still pending when the drain grace ends the run is abandoned:
+// counted expired and abandoned alike, never silently lost, and the count
+// survives the worker REPORT and the checkpoint.
+TEST(QueryLifecycleT, DrainGraceAbandonsPendingQueries) {
+  EchoUdpResponder responder(/*hold_until=*/UINT64_MAX);  // never answers
+
+  auto trace = small_udp_trace(10, kMilli);
+  EngineConfig cfg;
+  cfg.server = responder.endpoint();
+  cfg.timed = false;
+  cfg.distributors = 1;
+  cfg.queriers_per_distributor = 1;
+  cfg.query_timeout = 5 * kSecond;  // outlasts the grace: nothing times out
+  cfg.drain_grace = 200 * kMilli;
+  QueryEngine engine(cfg);
+  auto report = engine.replay(trace);
+  ASSERT_TRUE(report.ok()) << report.error().message;
+
+  EXPECT_EQ(report->queries_sent, trace.size());
+  EXPECT_EQ(report->responses_received, 0u);
+  EXPECT_EQ(report->lifecycle.timeouts, 0u);
+  EXPECT_GT(report->lifecycle.expired, 0u);
+  EXPECT_EQ(report->lifecycle.abandoned, report->lifecycle.expired);
+  EXPECT_TRUE(report->conserved());
+
+  auto back = dist::parse_report(dist::encode_report(*report));
+  ASSERT_TRUE(back.ok()) << back.error().message;
+  EXPECT_EQ(back->lifecycle.abandoned, report->lifecycle.abandoned);
+  CheckpointState st;
+  st.partial.lifecycle = report->lifecycle;
+  auto ckpt = parse_checkpoint(serialize_checkpoint(st));
+  ASSERT_TRUE(ckpt.ok()) << ckpt.error().message;
+  EXPECT_EQ(ckpt->partial.lifecycle.abandoned, report->lifecycle.abandoned);
 }
 
 }  // namespace

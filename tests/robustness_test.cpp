@@ -305,6 +305,34 @@ TEST(CheckpointT, LoaderRejectsDamagedFiles) {
     os << "ldp-checkpoint v1\npending notanip udp 0 0 0 0 -\nend\n";
   }
   EXPECT_FALSE(load_checkpoint(path).ok());
+
+  // A stream origin offset is `none` or an integer, never silently 0.
+  {
+    std::ofstream os(path);
+    os << "ldp-checkpoint v1\nstream udp:10.0.0.1 3 0 12abc\nend\n";
+  }
+  auto bad_offset = load_checkpoint(path);
+  ASSERT_FALSE(bad_offset.ok());
+  EXPECT_NE(bad_offset.error().message.find("origin offset"), std::string::npos);
+
+  // A histogram sum that does not parse.
+  {
+    std::ofstream os(path);
+    os << "ldp-checkpoint v1\nhist 1 5 5 notanumber\nend\n";
+  }
+  auto bad_sum = load_checkpoint(path);
+  ASSERT_FALSE(bad_sum.ok());
+  EXPECT_NE(bad_sum.error().message.find("histogram sum"), std::string::npos);
+
+  // A file in the old positional counter layout is refused on its first
+  // counter line, by name.
+  {
+    std::ofstream os(path);
+    os << "ldp-checkpoint v1\ntrace 1 2\ncounters 1 2 3 4 5 6 7 8 9 10 11\nend\n";
+  }
+  auto positional = load_checkpoint(path);
+  ASSERT_FALSE(positional.ok());
+  EXPECT_NE(positional.error().message.find("'counters'"), std::string::npos);
   std::remove(path.c_str());
 }
 
@@ -653,6 +681,8 @@ TEST(SelfHealingT, ResumedReplayMatchesUninterruptedRun) {
             uninterrupted.lifecycle.answered_after_retry);
   EXPECT_EQ(resumed.responses_received, uninterrupted.responses_received);
   EXPECT_EQ(resumed.latency_hist.count(), uninterrupted.latency_hist.count());
+  EXPECT_TRUE(uninterrupted.conserved());
+  EXPECT_TRUE(resumed.conserved());
   std::remove(ckpt.c_str());
 }
 

@@ -37,7 +37,9 @@
 //   --no-supervise         disable the heartbeat supervisor
 //   --heartbeat-timeout S  declare a querier dead after S stale seconds
 //
-// Prints an EngineReport summary plus latency and timing-error quantiles.
+// Prints an EngineReport summary plus latency and timing-error quantiles,
+// then exits 1 if some sent query has neither an answer nor an expiry
+// (responses + expired != queries sent).
 #include <unistd.h>
 
 #include <cstdio>
@@ -354,8 +356,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(lc.timeouts),
               static_cast<unsigned long long>(lc.retries),
               static_cast<unsigned long long>(lc.answered_after_retry));
-  std::printf("lost (expired):     %llu\n",
-              static_cast<unsigned long long>(lc.expired));
+  std::printf("lost (expired):     %llu (abandoned at shutdown %llu)\n",
+              static_cast<unsigned long long>(lc.expired),
+              static_cast<unsigned long long>(lc.abandoned));
   if (lc.duplicate_ids + lc.tcp_reconnects + lc.unmatched_responses +
           lc.deferred_sends + lc.socket_errors >
       0) {
@@ -417,6 +420,15 @@ int main(int argc, char** argv) {
     auto e = error_ms.summary();
     std::printf("timing error ms:    median %.2f  q1 %.2f  q3 %.2f  min %.2f  max %.2f\n",
                 e.median, e.q1, e.q3, e.min, e.max);
+  }
+  if (!rep.conserved()) {
+    std::fprintf(stderr,
+                 "conservation violated: responses %llu + expired %llu != "
+                 "queries sent %llu\n",
+                 static_cast<unsigned long long>(rep.responses_received),
+                 static_cast<unsigned long long>(lc.expired),
+                 static_cast<unsigned long long>(rep.queries_sent));
+    return 1;
   }
   return 0;
 }
